@@ -258,11 +258,9 @@ def fixed_ideal_generators(subgroup: SubgroupSpec) -> tuple[Polynomial, ...]:
     return tuple(gens)
 
 
-@lru_cache(maxsize=32)
 def fixed_ideal(subgroup: SubgroupSpec) -> GroebnerBasis:
     """Reduced Gröbner basis (grevlex over all 7 variables) of the fixed locus."""
-    ideal = Ideal(fixed_ideal_generators(subgroup), ALL_VARS)
-    return groebner.buchberger(ideal)
+    return groebner.groebner_basis(Ideal(fixed_ideal_generators(subgroup), ALL_VARS))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,11 @@
 
 Polynomials enter and leave as :class:`fricke.exactalg.Polynomial`; internally
 they are converted to exponent-vector form relative to a monomial order's
-variable list, which keeps the reduction loop tight.
+variable list, which keeps the reduction loop tight.  All reduction (S-pairs,
+inter-reduction, ``reduce`` and the ``verify_groebner`` re-check) runs through
+one fraction-free kernel on primitive integer polynomials; rational
+remainders are recovered by dividing by the scale it tracks.  Buchberger
+takes S-pairs off a heap in normal-strategy order.
 
 Monomial orders: lexicographic, graded reverse lexicographic, and the
 block (elimination) product of two grevlex orders.  Gröbner bases are always
@@ -19,7 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Sequence
 
 from .exactalg import Monomial, Polynomial
@@ -29,6 +33,11 @@ DEFAULT_MAX_DEGREE = 30
 
 _Vec = tuple[int, ...]
 _VecPoly = dict[_Vec, Fraction]
+_IntPoly = dict[_Vec, int]
+_Entry = tuple[_Vec, int, _IntPoly]  # leading monomial, coefficient, polynomial
+
+# pseudo-division steps between content strips in _normal_form
+_CONTENT_EVERY = 16
 
 
 class GroebnerError(RuntimeError):
@@ -204,37 +213,59 @@ def _vec_is_coprime(a: _Vec, b: _Vec) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _axpy(target: _VecPoly, coeff: Fraction, shift: _Vec, source: _VecPoly) -> None:
-    """In-place ``target -= coeff * x^shift * source``."""
-    for vec, c in source.items():
-        key = tuple(x + y for x, y in zip(vec, shift))
-        acc = target.get(key)
-        total = -coeff * c if acc is None else acc - coeff * c
-        if total:
-            target[key] = total
-        elif acc is not None:
-            del target[key]
+def _primitive(vp: dict, keyf) -> tuple[_IntPoly, Fraction]:
+    """``(s * vp, s)`` for the rational ``s`` that makes ``vp`` integer, of
+    content 1 and with a positive leading coefficient.
 
-
-def _make_primitive(vp: _VecPoly, keyf) -> _VecPoly:
-    """Scale to integer coefficients with content 1 and positive leading sign."""
+    Coefficients may be ``int`` or ``Fraction``.
+    """
     if not vp:
-        return vp
-    den = 1
-    for c in vp.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in vp.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
-    lead = max(vp, key=keyf)
-    if vp[lead] < 0:
-        scale = -scale
-    return {v: c * scale for v, c in vp.items()}
+        return {}, Fraction(1)
+    den = lcm(*(c.denominator for c in vp.values()))
+    ints = {v: c.numerator * (den // c.denominator) for v, c in vp.items()}
+    num = gcd(*ints.values())
+    if ints[max(ints, key=keyf)] < 0:
+        num = -num
+    return {v: c // num for v, c in ints.items()}, Fraction(den, num)
 
 
-def _normal_form(vp: _VecPoly, basis: Sequence[tuple[_Vec, Fraction, _VecPoly]], keyf) -> _VecPoly:
-    """Full normal form of ``vp`` against ``basis`` entries (lm, lc, poly).
+def _entry(vp: dict, keyf) -> _Entry:
+    """Primitive integer form of a nonzero ``vp`` as a reducer (lm, lc, poly)."""
+    poly, _ = _primitive(vp, keyf)
+    lm = max(poly, key=keyf)
+    return lm, poly[lm], poly
+
+
+def _s_poly(a: _Entry, b: _Entry) -> _IntPoly:
+    """Integer S-polynomial ``(lc_b/g)*x^(L-lm_a)*f_a - (lc_a/g)*x^(L-lm_b)*f_b``
+    with ``L = lcm(lm_a, lm_b)`` and ``g = gcd(lc_a, lc_b)``."""
+    (lm_a, lc_a, f_a), (lm_b, lc_b, f_b) = a, b
+    lcm_ab = _vec_lcm(lm_a, lm_b)
+    g = gcd(lc_a, lc_b)
+    out: _IntPoly = {}
+    for mult, lm, poly in ((lc_b // g, lm_a, f_a), (-(lc_a // g), lm_b, f_b)):
+        shift = _vec_sub(lcm_ab, lm)
+        for vec, c in poly.items():
+            key = tuple(x + y for x, y in zip(vec, shift))
+            total = out.get(key, 0) + mult * c
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _normal_form(work: _IntPoly, entries: Sequence[_Entry], keyf) -> tuple[_IntPoly, Fraction]:
+    """Fraction-free full normal form of ``work`` against ``entries`` (lm, lc, poly).
+
+    Each step cancels the leading term by the pseudo-division
+    ``work := (lc/g)*work - (coeff/g)*x^shift*poly`` with ``g = gcd(coeff, lc)``,
+    so all arithmetic stays in the integers.  The remainder terms already
+    split off are scaled along with ``work``, and content is stripped from
+    both every ``_CONTENT_EVERY`` steps.  Returns ``(remainder, scale)``, where
+    ``remainder / scale`` is exactly the remainder of rational division.
+    Scaling never changes supports, so the leading terms and divisor choices
+    are those of rational division.
 
     The current maximum of the work polynomial is tracked with a lazy
     max-heap: monomials are pushed once, stale entries are skipped on pop.
@@ -242,8 +273,10 @@ def _normal_form(vp: _VecPoly, basis: Sequence[tuple[_Vec, Fraction, _VecPoly]],
     polynomial (all later contributions are strictly smaller), so each heap
     entry is processed at most once.
     """
-    remainder: _VecPoly = {}
-    work = dict(vp)
+    work = dict(work)
+    remainder: _IntPoly = {}
+    scale = Fraction(1)
+    steps = 0
     heap = [(tuple(-x for x in keyf(vec)), vec) for vec in work]
     heapq.heapify(heap)
     while heap:
@@ -251,25 +284,40 @@ def _normal_form(vp: _VecPoly, basis: Sequence[tuple[_Vec, Fraction, _VecPoly]],
         coeff = work.get(lead)
         if coeff is None:
             continue
-        for lm, lc, poly in basis:
+        for lm, lc, poly in entries:
             if _vec_divides(lm, lead):
-                shift = _vec_sub(lead, lm)
-                factor = coeff / lc
-                for vec, c in poly.items():
-                    key = tuple(x + y for x, y in zip(vec, shift))
-                    acc = work.get(key)
-                    total = -factor * c if acc is None else acc - factor * c
-                    if total:
-                        if acc is None:
-                            heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
-                        work[key] = total
-                    elif acc is not None:
-                        del work[key]
                 break
         else:
             remainder[lead] = coeff
             del work[lead]
-    return remainder
+            continue
+        g = gcd(coeff, lc)
+        mult, factor = lc // g, coeff // g
+        if mult != 1:
+            for key in work:
+                work[key] *= mult
+            for key in remainder:
+                remainder[key] *= mult
+            scale *= mult
+        shift = _vec_sub(lead, lm)
+        for vec, c in poly.items():
+            key = tuple(x + y for x, y in zip(vec, shift))
+            acc = work.get(key)
+            total = -factor * c if acc is None else acc - factor * c
+            if total:
+                if acc is None:
+                    heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
+                work[key] = total
+            elif acc is not None:
+                del work[key]
+        steps += 1
+        if steps % _CONTENT_EVERY == 0:
+            content = gcd(*work.values(), *remainder.values())
+            if content > 1:
+                work = {k: c // content for k, c in work.items()}
+                remainder = {k: c // content for k, c in remainder.items()}
+                scale /= content
+    return remainder, scale
 
 
 # -- public operations ------------------------------------------------------
@@ -281,25 +329,11 @@ def reduce(poly: Polynomial, basis: Iterable[Polynomial], order: MonomialOrder) 
     and the difference ``poly - result`` lies in the ideal the basis generates.
     """
     keyf = order.key()
-    entries = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        vg = _to_vec(g, order)
-        lm = max(vg, key=keyf)
-        entries.append((lm, vg[lm], vg))
-    return _from_vec(_normal_form(_to_vec(poly, order), entries, keyf), order)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    keyf = order.key()
-    vf, vg = _to_vec(f, order), _to_vec(g, order)
-    lf, lg = max(vf, key=keyf), max(vg, key=keyf)
-    lcm = _vec_lcm(lf, lg)
-    out: _VecPoly = {}
-    _axpy(out, Fraction(-1) / vf[lf], _vec_sub(lcm, lf), vf)
-    _axpy(out, Fraction(1) / vg[lg], _vec_sub(lcm, lg), vg)
-    return _from_vec(out, order)
+    entries = [_entry(_to_vec(g, order), keyf) for g in basis if not g.is_zero()]
+    work, mult = _primitive(_to_vec(poly, order), keyf)
+    remainder, scale = _normal_form(work, entries, keyf)
+    scale *= mult
+    return _from_vec({v: c / scale for v, c in remainder.items()}, order)
 
 
 def buchberger(
@@ -312,31 +346,31 @@ def buchberger(
     """Reduced Gröbner basis of ``ideal`` under ``order`` (default grevlex).
 
     Pair selection is the normal strategy (minimal lcm degree, ties broken by
-    the order key); useless pairs are dropped by Buchberger's coprimality and
-    chain criteria.  Deterministic for fixed input and order.
+    the order key): each pair is queued once on a heap under that key.
+    Useless pairs are dropped by Buchberger's coprimality and chain criteria.
+    Deterministic for fixed input and order.
     """
     if order is None:
         order = ideal.default_order()
     keyf = order.key()
 
-    basis: list[_VecPoly] = []
-    lms: list[_Vec] = []
+    basis: list[_Entry] = []
     for g in ideal.generators:
         if g.degree() > max_degree:
             raise ResourceCapError(
                 f"generator degree {g.degree()} exceeds the cap of {max_degree}"
             )
-        vg = _make_primitive(_to_vec(g, order), keyf)
-        if vg:
-            basis.append(vg)
-            lms.append(max(vg, key=keyf))
+        basis.append(_entry(_to_vec(g, order), keyf))
 
-    def entries() -> list[tuple[_Vec, Fraction, _VecPoly]]:
-        return [(lms[i], basis[i][lms[i]], basis[i]) for i in range(len(basis))]
+    pairs: list[tuple[int, tuple[int, ...], tuple[int, int]]] = []
 
-    pairs: set[tuple[int, int]] = {
-        (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))
-    }
+    def queue_pairs(j: int) -> None:
+        for i in range(j):
+            lcm_ij = _vec_lcm(basis[i][0], basis[j][0])
+            heapq.heappush(pairs, (sum(lcm_ij), keyf(lcm_ij), (i, j)))
+
+    for j in range(len(basis)):
+        queue_pairs(j)
     handled: set[tuple[int, int]] = set()
     processed = 0
 
@@ -345,7 +379,7 @@ def buchberger(
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _vec_divides(lms[k], lcm_ij):
+            if _vec_divides(basis[k][0], lcm_ij):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in handled and pjk in handled:
@@ -356,38 +390,24 @@ def buchberger(
         processed += 1
         if processed > max_pairs:
             raise ResourceCapError(f"S-pair budget of {max_pairs} exceeded")
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                sum(_vec_lcm(lms[p[0]], lms[p[1]])),
-                keyf(_vec_lcm(lms[p[0]], lms[p[1]])),
-                p,
-            ),
-        )
-        pairs.discard((i, j))
+        _, _, (i, j) = heapq.heappop(pairs)
         handled.add((i, j))
-        lcm_ij = _vec_lcm(lms[i], lms[j])
-        if _vec_is_coprime(lms[i], lms[j]):
+        lcm_ij = _vec_lcm(basis[i][0], basis[j][0])
+        if _vec_is_coprime(basis[i][0], basis[j][0]):
             continue
         if chain_criterion(i, j, lcm_ij):
             continue
         if sum(lcm_ij) > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
 
-        spoly: _VecPoly = {}
-        _axpy(spoly, Fraction(-1) / basis[i][lms[i]], _vec_sub(lcm_ij, lms[i]), basis[i])
-        _axpy(spoly, Fraction(1) / basis[j][lms[j]], _vec_sub(lcm_ij, lms[j]), basis[j])
-        remainder = _normal_form(spoly, entries(), keyf)
+        remainder, _ = _normal_form(_s_poly(basis[i], basis[j]), basis, keyf)
         if not remainder:
             continue
-        remainder = _make_primitive(remainder, keyf)
-        lm = max(remainder, key=keyf)
-        if sum(lm) > max_degree:
+        entry = _entry(remainder, keyf)
+        if sum(entry[0]) > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
-        new_index = len(basis)
-        basis.append(remainder)
-        lms.append(lm)
-        pairs.update((k, new_index) for k in range(new_index))
+        basis.append(entry)
+        queue_pairs(len(basis) - 1)
 
     reduced = _inter_reduce(basis, keyf)
     polys = tuple(
@@ -397,108 +417,34 @@ def buchberger(
     return GroebnerBasis(polys, order)
 
 
-def _inter_reduce(elements: list[_VecPoly], keyf) -> list[_VecPoly]:
-    """Turn a Gröbner basis into the unique reduced one.
+def _inter_reduce(entries: list[_Entry], keyf) -> list[_VecPoly]:
+    """Turn a Gröbner basis into the unique reduced one, made monic.
 
     First minimalize (drop elements whose leading monomial is divisible by
     another's), then tail-reduce each survivor against the rest; tail
     reduction never changes leading monomials, so one pass suffices.
     """
-    def lead(vp: _VecPoly) -> _Vec:
-        return max(vp, key=keyf)
-
-    nonzero = sorted((e for e in elements if e), key=lambda vp: keyf(lead(vp)))
-    minimal: list[_VecPoly] = []
-    for vp in nonzero:
-        lm = lead(vp)
-        if not any(_vec_divides(lead(w), lm) for w in minimal):
-            minimal.append(vp)
+    minimal: list[_Entry] = []
+    for entry in sorted(entries, key=lambda e: keyf(e[0])):
+        if not any(_vec_divides(m[0], entry[0]) for m in minimal):
+            minimal.append(entry)
     out = []
-    for pos, vp in enumerate(minimal):
-        others = [
-            (lead(w), w[lead(w)], w) for q, w in enumerate(minimal) if q != pos
-        ]
-        nf = _normal_form(vp, others, keyf)
-        lc = nf[lead(nf)]
-        out.append({v: c / lc for v, c in nf.items()})
+    for pos, (lm, _, poly) in enumerate(minimal):
+        nf, _ = _normal_form(poly, minimal[:pos] + minimal[pos + 1:], keyf)
+        lc = nf[lm]
+        out.append({v: Fraction(c, lc) for v, c in nf.items()})
     return out
-
-
-def _reduces_to_zero_fraction_free(
-    start: dict[_Vec, int], entries: Sequence[tuple[_Vec, int, dict[_Vec, int]]], keyf
-) -> bool:
-    """Integer pseudo-reduction: scale instead of divide, strip content.
-
-    Zero-ness of the remainder is invariant under the scalings, so this
-    decides membership-by-reduction without rational arithmetic.  Content is
-    stripped periodically to keep the integers small.
-    """
-    work = dict(start)
-    heap = [(tuple(-x for x in keyf(vec)), vec) for vec in work]
-    heapq.heapify(heap)
-    steps = 0
-    while heap:
-        _, lead = heapq.heappop(heap)
-        coeff = work.get(lead)
-        if coeff is None:
-            continue
-        for lm, lc, poly in entries:
-            if _vec_divides(lm, lead):
-                # work := lc * work - coeff * x^shift * poly  (lead cancels)
-                shift = _vec_sub(lead, lm)
-                if lc != 1:
-                    for key in work:
-                        work[key] *= lc
-                for vec, c in poly.items():
-                    key = tuple(x + y for x, y in zip(vec, shift))
-                    acc = work.get(key)
-                    total = (0 if acc is None else acc) - coeff * c
-                    if total:
-                        if acc is None:
-                            heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
-                        work[key] = total
-                    elif acc is not None:
-                        del work[key]
-                steps += 1
-                if steps % 16 == 0 and work:
-                    content = 0
-                    for c in work.values():
-                        content = gcd(content, c)
-                    if content > 1:
-                        work = {k: c // content for k, c in work.items()}
-                break
-        else:
-            return False
-    return True
 
 
 def verify_groebner(gb: GroebnerBasis) -> bool:
     """Direct re-check: every pairwise S-polynomial reduces to zero."""
     keyf = gb.order.key()
-    primitive = [
-        _make_primitive(_to_vec(g, gb.order), keyf) for g in gb.polynomials
-    ]
-    as_int = [{v: int(c) for v, c in vp.items()} for vp in primitive]
-    lms = [max(vp, key=keyf) for vp in as_int]
-    entries = [(lm, vp[lm], vp) for lm, vp in zip(lms, as_int)]
-    for i in range(len(as_int)):
-        for j in range(i + 1, len(as_int)):
-            lcm = _vec_lcm(lms[i], lms[j])
-            spoly: dict[_Vec, int] = {}
-            # lc_j * x^(lcm-lm_i) * f_i - lc_i * x^(lcm-lm_j) * f_j
-            for sign, src, other in ((1, i, j), (-1, j, i)):
-                shift = _vec_sub(lcm, lms[src])
-                scale = sign * entries[other][1]
-                for vec, c in as_int[src].items():
-                    key = tuple(x + y for x, y in zip(vec, shift))
-                    total = spoly.get(key, 0) + scale * c
-                    if total:
-                        spoly[key] = total
-                    else:
-                        spoly.pop(key, None)
-            if not _reduces_to_zero_fraction_free(spoly, entries, keyf):
-                return False
-    return True
+    entries = [_entry(_to_vec(g, gb.order), keyf) for g in gb.polynomials]
+    return not any(
+        _normal_form(_s_poly(entries[i], entries[j]), entries, keyf)[0]
+        for i in range(len(entries))
+        for j in range(i + 1, len(entries))
+    )
 
 
 @lru_cache(maxsize=256)
@@ -521,11 +467,8 @@ def ideal_member(poly: Polynomial, ideal: Ideal, order: MonomialOrder | None = N
 def ideal_equal(left: Ideal, right: Ideal, order: MonomialOrder | None = None) -> bool:
     if set(left.variables) != set(right.variables):
         raise ValueError("ideal comparison requires the same ambient variables")
-    gl = groebner_basis(left, order)
-    gr = groebner_basis(right, order if order is not None else left.default_order())
-    return all(gr.contains(g) for g in left.generators) and all(
-        gl.contains(g) for g in right.generators
-    )
+    report = containment_report(left, right, order)
+    return report["left_subset_right"] and report["right_subset_left"]
 
 
 def containment_report(left: Ideal, right: Ideal, order: MonomialOrder | None = None) -> dict:
@@ -712,7 +655,6 @@ class ZeroDimensionalSolution:
 
 def _is_zero_dimensional(gb: GroebnerBasis) -> bool:
     # standard criterion: some leading monomial is a pure power of each variable
-    keyf = gb.order.key()
     idx = gb.order.index()
     n = len(gb.order.variables)
     lead_vecs = [_mono_vec(gb.order.leading_monomial(g), idx, n) for g in gb.polynomials]

@@ -40,9 +40,21 @@ class TestReduce:
         order = gb.MonomialOrder.lex(("v1",))
         assert gb.reduce(P("v1^2"), [P("v1")], order).is_zero()
 
-    def test_single_division_step(self):
+    @pytest.mark.parametrize(
+        "poly, basis, remainder",
+        [
+            pytest.param("x^2*y", ["x^2 - 1"], "y", id="monic"),
+            # non-monic divisors with fractional coefficients; x joins the
+            # remainder before y^2 is divided by 3*y^2 - 1/2
+            pytest.param(
+                "x^2*y + x + 1/5*y^2", ["3*y^2 - 1/2", "2/3*x^2 - y"], "x + 17/60",
+                id="fractional",
+            ),
+        ],
+    )
+    def test_single_division_step(self, poly, basis, remainder):
         order = gb.MonomialOrder.lex(("x", "y"))
-        assert gb.reduce(P("x^2*y"), [P("x^2 - 1")], order) == P("y")
+        assert gb.reduce(P(poly), [P(b) for b in basis], order) == P(remainder)
 
     def test_listed_generator_reduces_in_reference_basis(self):
         basis = gb.groebner_basis(reference_ideal())
@@ -103,6 +115,11 @@ class TestBuchberger:
             ideal = gb.Ideal.of([P(g) for g in gens], names)
             basis = gb.buchberger(ideal)
             assert gb.verify_groebner(basis)
+
+    def test_non_basis_fails_verification(self):
+        # S(x^2-1, xy-1) reduces to x - y, which no leading term divides
+        order = gb.MonomialOrder.lex(("x", "y"))
+        assert not gb.verify_groebner(gb.GroebnerBasis((P("x^2 - 1"), P("x*y - 1")), order))
 
     def test_generators_are_members(self):
         ideal = gb.Ideal.of([P("x^2 + y"), P("y^3 - x")], ("x", "y"))
