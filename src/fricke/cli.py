@@ -255,8 +255,8 @@ def _text_lines(value, indent: str) -> list[str]:
     return [f"{indent}{value}"]
 
 
-def _error_report(command: str, message: str) -> dict:
-    return {"status": ERROR, "command": command, "inputs": {}, "result": None,
+def _error_report(command: str, message: str, status: str = ERROR) -> dict:
+    return {"status": status, "command": command, "inputs": {}, "result": None,
             "message": message}
 
 
@@ -285,6 +285,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = execute(args)
+    except groebner.ResourceCapError as err:
+        report = _error_report(args.subcommand, str(err), CAP_EXCEEDED)
     except Exception as err:  # noqa: BLE001 - all failures become error reports
         report = _error_report(args.subcommand, str(err))
     print(emit_report(report, args.format))

@@ -6,7 +6,8 @@ variable list, which keeps the reduction loop tight.  All reduction (S-pairs,
 inter-reduction, ``reduce`` and the ``verify_groebner`` re-check) runs through
 one fraction-free kernel on primitive integer polynomials; rational
 remainders are recovered by dividing by the scale it tracks.  Buchberger
-takes S-pairs off a heap in normal-strategy order.
+takes S-pairs off a heap in normal-strategy order; one Gebauer–Möller pair
+update prunes the pairs both it and ``verify_groebner`` reduce.
 
 Monomial orders: lexicographic, graded reverse lexicographic, and the
 block (elimination) product of two grevlex orders.  Gröbner bases are always
@@ -23,6 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -35,6 +37,7 @@ _Vec = tuple[int, ...]
 _VecPoly = dict[_Vec, Fraction]
 _IntPoly = dict[_Vec, int]
 _Entry = tuple[_Vec, int, _IntPoly]  # leading monomial, coefficient, polynomial
+_Pair = tuple[int, int]  # positions i < j of two basis elements
 
 # pseudo-division steps between content strips in _normal_form
 _CONTENT_EVERY = 16
@@ -336,6 +339,37 @@ def reduce(poly: Polynomial, basis: Iterable[Polynomial], order: MonomialOrder) 
     return _from_vec({v: c / scale for v, c in remainder.items()}, order)
 
 
+def _update_pairs(lms: Sequence[_Vec], live: set[_Pair], k: int) -> tuple[set[_Pair], list[int]]:
+    """Gebauer–Möller update of the pending pairs ``live`` (all ``i < j < k``)
+    for the new leading monomial ``lms[k]``.  Returns the pairs kept, new ones
+    included, and the partners ``i`` of the new pairs ``(i, k)`` kept.
+
+    Criteria M and F drop ``(i, k)`` when the lcm of a new pair not yet
+    dropped divides its lcm (of equal lcms the last survives).  Only then
+    does the coprime criterion drop the ``(i, k)`` with coprime leading
+    monomials, since a coprime pair may itself drop others under M and F.
+    Criterion B drops ``(i, j)`` when ``lms[k]`` divides its lcm and neither
+    ``(i, k)`` nor ``(j, k)`` has the same lcm.  Each dropped pair's syzygy
+    is generated by those of coprime pairs, kept pairs and pairs with
+    strictly smaller lcms (Gebauer & Möller, JSC 6, 1988; Becker & Weispfenning, §5.5).
+    """
+    h = lms[k]
+    lcms = [_vec_lcm(m, h) for m in lms[:k]]
+    kept: list[int] = []
+    for i in range(k):
+        if _vec_is_coprime(lms[i], h) or not any(
+            _vec_divides(lcms[j], lcms[i]) for j in chain(range(i + 1, k), kept)
+        ):
+            kept.append(i)
+    partners = [i for i in kept if not _vec_is_coprime(lms[i], h)]
+    pairs = {(i, k) for i in partners}
+    for i, j in live:
+        lcm_ij = _vec_lcm(lms[i], lms[j])
+        if not _vec_divides(h, lcm_ij) or lcm_ij in (lcms[i], lcms[j]):
+            pairs.add((i, j))
+    return pairs, partners
+
+
 def buchberger(
     ideal: Ideal,
     order: MonomialOrder | None = None,
@@ -347,57 +381,42 @@ def buchberger(
 
     Pair selection is the normal strategy (minimal lcm degree, ties broken by
     the order key): each pair is queued once on a heap under that key.
-    Useless pairs are dropped by Buchberger's coprimality and chain criteria.
-    Deterministic for fixed input and order.
+    Useless pairs are dropped by the Gebauer–Möller update (``_update_pairs``).
+    ``max_pairs`` bounds the pairs formed, n(n-1)/2 for n elements, before
+    any is dropped; ``max_degree`` bounds the inputs, every new element and
+    the lcm of every pair reduced.  Deterministic for fixed input and order.
     """
     if order is None:
         order = ideal.default_order()
     keyf = order.key()
 
     basis: list[_Entry] = []
+    live: set[_Pair] = set()
+    heap: list[tuple[int, tuple[int, ...], _Pair]] = []
+
+    def add(entry: _Entry) -> None:
+        nonlocal live
+        k = len(basis)
+        if k * (k + 1) // 2 > max_pairs:
+            raise ResourceCapError(f"S-pair budget of {max_pairs} exceeded")
+        basis.append(entry)
+        live, partners = _update_pairs([e[0] for e in basis], live, k)
+        for i in partners:
+            lcm_ik = _vec_lcm(basis[i][0], entry[0])
+            heapq.heappush(heap, (sum(lcm_ik), keyf(lcm_ik), (i, k)))
+
     for g in ideal.generators:
         if g.degree() > max_degree:
             raise ResourceCapError(
                 f"generator degree {g.degree()} exceeds the cap of {max_degree}"
             )
-        basis.append(_entry(_to_vec(g, order), keyf))
-
-    pairs: list[tuple[int, tuple[int, ...], tuple[int, int]]] = []
-
-    def queue_pairs(j: int) -> None:
-        for i in range(j):
-            lcm_ij = _vec_lcm(basis[i][0], basis[j][0])
-            heapq.heappush(pairs, (sum(lcm_ij), keyf(lcm_ij), (i, j)))
-
-    for j in range(len(basis)):
-        queue_pairs(j)
-    handled: set[tuple[int, int]] = set()
-    processed = 0
-
-    def chain_criterion(i: int, j: int, lcm_ij: _Vec) -> bool:
-        # Buchberger's second criterion with treated-pair bookkeeping
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _vec_divides(basis[k][0], lcm_ij):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in handled and pjk in handled:
-                    return True
-        return False
-
-    while pairs:
-        processed += 1
-        if processed > max_pairs:
-            raise ResourceCapError(f"S-pair budget of {max_pairs} exceeded")
-        _, _, (i, j) = heapq.heappop(pairs)
-        handled.add((i, j))
-        lcm_ij = _vec_lcm(basis[i][0], basis[j][0])
-        if _vec_is_coprime(basis[i][0], basis[j][0]):
+        add(_entry(_to_vec(g, order), keyf))
+    while heap:
+        degree, _, (i, j) = heapq.heappop(heap)
+        if (i, j) not in live:  # dropped by criterion B since it was queued
             continue
-        if chain_criterion(i, j, lcm_ij):
-            continue
-        if sum(lcm_ij) > max_degree:
+        live.remove((i, j))
+        if degree > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
 
         remainder, _ = _normal_form(_s_poly(basis[i], basis[j]), basis, keyf)
@@ -406,8 +425,7 @@ def buchberger(
         entry = _entry(remainder, keyf)
         if sum(entry[0]) > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
-        basis.append(entry)
-        queue_pairs(len(basis) - 1)
+        add(entry)
 
     reduced = _inter_reduce(basis, keyf)
     polys = tuple(
@@ -437,13 +455,23 @@ def _inter_reduce(entries: list[_Entry], keyf) -> list[_VecPoly]:
 
 
 def verify_groebner(gb: GroebnerBasis) -> bool:
-    """Direct re-check: every pairwise S-polynomial reduces to zero."""
+    """Direct re-check: the S-polynomial of every pair that survives the
+    Gebauer–Möller update, run over ``gb.polynomials`` in order, reduces to zero.
+
+    Buchberger's criterion: G is a Gröbner basis when the S-polynomial of
+    each pair in a set whose leading-term syzygies generate all of them has a
+    standard representation over G, as one that reduces to zero does.  The
+    surviving pairs with the coprime pairs are such a set, and a coprime pair
+    always has one (the product criterion).
+    """
     keyf = gb.order.key()
     entries = [_entry(_to_vec(g, gb.order), keyf) for g in gb.polynomials]
+    live: set[_Pair] = set()
+    for k in range(len(entries)):
+        live, _ = _update_pairs([e[0] for e in entries], live, k)
     return not any(
         _normal_form(_s_poly(entries[i], entries[j]), entries, keyf)[0]
-        for i in range(len(entries))
-        for j in range(i + 1, len(entries))
+        for i, j in sorted(live)
     )
 
 

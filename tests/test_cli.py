@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fricke import cli
+from fricke import cli, groebner as gb
 from fricke.exactalg import parse_polynomial
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
@@ -172,6 +172,34 @@ class TestMainAndExitCodes:
         assert code == 1
         assert report["status"] == "cap-exceeded"
         assert report["result"]["status"] == "cap-exceeded"
+        validate_schema(report)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fixed-ideal", "--gens", "t2;t1t1;t3t3"],
+            ["fixed-points", "--a", "1,-1,-1,-1", "--gens", "t2;t1t1;t3t3"],
+        ],
+        ids=["fixed-ideal", "fixed-points"],
+    )
+    @pytest.mark.parametrize(
+        "error, code, status",
+        [
+            (gb.ResourceCapError("S-pair budget of 1 exceeded"), 1, "cap-exceeded"),
+            (gb.GroebnerError("coefficient too large for rational root search"), 2, "error"),
+        ],
+        ids=["cap", "other"],
+    )
+    def test_groebner_cap_exit_code(self, capsys, monkeypatch, argv, error, code, status):
+        def raise_error(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(gb, "groebner_basis", raise_error)
+        assert run_main(argv) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == status
+        assert report["result"] is None
+        assert report["message"] == str(error)
         validate_schema(report)
 
     def test_byte_identical_reports(self, capsys):

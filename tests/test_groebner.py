@@ -35,6 +35,23 @@ def random_poly(rng: random.Random, names, terms=3, deg=2) -> Polynomial:
     return out
 
 
+def all_pairs_verdict(basis: gb.GroebnerBasis) -> bool:
+    """Unpruned reference check: every one of the n(n-1)/2 S-polynomials,
+    built with ``Polynomial`` arithmetic, reduces to zero."""
+    polys, order = basis.polynomials, basis.order
+    lead = [order.leading_monomial(p) for p in polys]
+
+    def lifted(k, lcm):  # polys[k] times the term that makes its leading term lcm
+        return polys[k] * Polynomial({lcm / lead[k]: 1 / polys[k].coefficient(lead[k])})
+
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            lcm = lead[i].lcm(lead[j])
+            if not gb.reduce(lifted(i, lcm) - lifted(j, lcm), polys, order).is_zero():
+                return False
+    return True
+
+
 class TestReduce:
     def test_power_by_variable(self):
         order = gb.MonomialOrder.lex(("v1",))
@@ -120,6 +137,50 @@ class TestBuchberger:
         # S(x^2-1, xy-1) reduces to x - y, which no leading term divides
         order = gb.MonomialOrder.lex(("x", "y"))
         assert not gb.verify_groebner(gb.GroebnerBasis((P("x^2 - 1"), P("x*y - 1")), order))
+
+    def test_pruned_verification_matches_all_pairs_oracle(self):
+        # inputs: raw generators (mostly non-bases), generators plus an
+        # element whose leading monomial another one divides, Buchberger
+        # outputs, and those outputs plus a redundant ideal member
+        rng = random.Random(61)
+        verdicts = []
+        for case in range(120):
+            names = ("x", "y", "z")[: rng.choice((2, 3))]
+            kind = rng.choice(("lex", "grevlex"))
+            order = getattr(gb.MonomialOrder, kind)(names)
+            gens = [random_poly(rng, names, terms=4, deg=2) for _ in range(rng.randint(2, 4))]
+            gens = [g for g in gens if not g.is_constant()]
+            if not gens:
+                continue
+            if case % 4 == 1:
+                x = Polynomial.variable(rng.choice(names))
+                gens.append(x * gens[0] + Polynomial.constant(rng.randint(1, 3)))
+            if case % 4 >= 2:
+                try:
+                    basis = gb.buchberger(gb.Ideal.of(gens, names), order, max_degree=8)
+                except gb.ResourceCapError:
+                    continue
+                gens = list(basis.polynomials)
+                if case % 4 == 3:
+                    gens.append(Polynomial.variable(names[0]) * gens[0] + gens[-1])
+            basis = gb.GroebnerBasis(tuple(gens), order)
+            expected = all_pairs_verdict(basis)
+            assert gb.verify_groebner(basis) is expected, (kind, [str(g) for g in gens])
+            verdicts.append(expected)
+        assert len(verdicts) >= 100
+        assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+    def test_pruned_verification_pair_count(self, monkeypatch):
+        # pinned so that a silent fallback to all 36*35/2 = 630 pairs fails
+        from fricke import braid
+
+        basis = braid.fixed_ideal(braid.SubgroupSpec.parse(["t2", "t1t1", "t3t3"]))
+        assert len(basis.polynomials) == 36
+        reduced = []
+        s_poly = gb._s_poly
+        monkeypatch.setattr(gb, "_s_poly", lambda a, b: reduced.append(1) or s_poly(a, b))
+        assert gb.verify_groebner(basis) is True
+        assert len(reduced) == 125
 
     def test_generators_are_members(self):
         ideal = gb.Ideal.of([P("x^2 + y"), P("y^3 - x")], ("x", "y"))
