@@ -7,8 +7,9 @@ generator factors into two of the root-swap involutions
 
 of the cubic, which is monic quadratic in each ``vj``; this is why the inverse
 maps are again polynomial.  Words are strings over ``t1 t2 t3`` (capitals for
-inverses) and act both pointwise on exact trace points and symbolically as
-polynomial triples.
+inverses).  The action is written once, over any ring: on exact trace points
+it is the pointwise map, and the symbolic images of ``(v1, v2, v3)`` are the
+same map run on the variable polynomials.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from typing import Iterable, Sequence
 from . import groebner
 from .charvariety import (
     ALL_VARS,
+    A_POLYS,
     TracePoint,
+    V_POLYS,
     V_VARS,
-    fricke_cubic,
+    cubic_value,
     on_variety,
     trace_coefficients,
 )
@@ -41,6 +44,8 @@ _TRIPLE = tuple[Fraction, Fraction, Fraction]
 
 # which two involutions compose to each generator: tau_i = second after first
 _GENERATOR_FACTORS = {1: (3, 2), 2: (1, 3), 3: (2, 1)}
+# positions of the two pair traces besides the j-th (0-based)
+_OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
 
 class OffVarietyInputError(ValueError):
@@ -104,49 +109,38 @@ class SubgroupSpec:
         return ";".join(str(w) for w in self.generators)
 
 
-# -- pointwise action ---------------------------------------------------------
+# -- the action over any ring -------------------------------------------------
 
-def _involution_step(j: int, p: _TRIPLE, v: list[Fraction]) -> None:
-    """In-place root swap of the cubic in the j-th pair trace."""
-    if j == 1:
-        v[0] = p[0] - v[1] * v[2] - v[0]
-    elif j == 2:
-        v[1] = p[1] - v[0] * v[2] - v[1]
-    else:
-        v[2] = p[2] - v[0] * v[1] - v[2]
-
-
-def apply_letter(a: Sequence[Fraction], v: _TRIPLE, index: int, sign: int) -> _TRIPLE:
-    """One signed generator applied exactly at fixed boundary traces."""
-    p = trace_coefficients(a)
+def _letter(p: Sequence, v: Sequence, index: int, sign: int) -> tuple:
+    """One signed generator at precomputed coefficients ``p``: two root swaps."""
     first, second = _GENERATOR_FACTORS[index]
     if sign < 0:
         first, second = second, first
     out = list(v)
-    _involution_step(first, p, out)
-    _involution_step(second, p, out)
-    return (out[0], out[1], out[2])
+    for j in (first - 1, second - 1):
+        k, m = _OTHER_TWO[j]
+        out[j] = p[j] - out[k] * out[m] - out[j]
+    return tuple(out)
+
+
+def _act(a: Sequence, v: Sequence, letters: Iterable[tuple[int, int]]) -> tuple:
+    """The letters applied first-to-last to ``v`` at boundary traces ``a``."""
+    p = trace_coefficients(a)
+    for index, sign in letters:
+        v = _letter(p, v, index, sign)
+    return v
+
+
+def apply_letter(a: Sequence[Fraction], v: _TRIPLE, index: int, sign: int) -> _TRIPLE:
+    """One signed generator applied exactly at fixed boundary traces."""
+    return _letter(trace_coefficients(a), v, index, sign)
 
 
 def apply_word(word: BraidWord, point: TracePoint) -> TracePoint:
     """Apply a word letters-first-to-last to an exact on-variety point."""
     if not on_variety(point):
         raise OffVarietyInputError(f"point {point.to_json()} is not on the variety")
-    v = point.v
-    for index, sign in word.letters:
-        v = apply_letter(point.a, v, index, sign)
-    return TracePoint(point.a, v)
-
-
-# -- symbolic action ----------------------------------------------------------
-
-def _symbolic_involution(j: int) -> dict[str, Polynomial]:
-    a1, a2, a3, a4 = (Polynomial.variable(n) for n in ("a1", "a2", "a3", "a4"))
-    v1, v2, v3 = (Polynomial.variable(n) for n in V_VARS)
-    p = (a1 * a2 + a3 * a4, a1 * a4 + a2 * a3, a1 * a3 + a2 * a4)
-    others = {1: v2 * v3, 2: v1 * v3, 3: v1 * v2}
-    target = V_VARS[j - 1]
-    return {target: p[j - 1] - others[j] - Polynomial.variable(target)}
+    return TracePoint(point.a, _act(point.a, point.v, word.letters))
 
 
 def _compose(outer: tuple[Polynomial, ...], inner: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
@@ -155,29 +149,15 @@ def _compose(outer: tuple[Polynomial, ...], inner: tuple[Polynomial, ...]) -> tu
     return tuple(poly.substitute(images) for poly in outer)
 
 
-@lru_cache(maxsize=64)
-def generator_triple(index: int, sign: int = 1) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """The symbolic images (of v1, v2, v3) under one signed generator."""
-    identity = tuple(Polynomial.variable(n) for n in V_VARS)
-    first, second = _GENERATOR_FACTORS[index]
-    if sign < 0:
-        first, second = second, first
-    step1 = tuple(
-        poly.substitute(_symbolic_involution(first)) for poly in identity
-    )
-    return _compose(
-        tuple(poly.substitute(_symbolic_involution(second)) for poly in identity),
-        step1,
-    )
-
-
 @lru_cache(maxsize=256)
 def word_triple(word: BraidWord) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Symbolic images of (v1, v2, v3) under a word (letters applied first-to-last)."""
-    current = tuple(Polynomial.variable(n) for n in V_VARS)
-    for index, sign in word.letters:
-        current = _compose(generator_triple(index, sign), current)
-    return current
+    return _act(A_POLYS, V_POLYS, word.letters)
+
+
+def generator_triple(index: int, sign: int = 1) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The symbolic images (of v1, v2, v3) under one signed generator."""
+    return word_triple(BraidWord(((index, sign),)))
 
 
 # -- orbits -------------------------------------------------------------------
@@ -210,7 +190,7 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
         raise ValueError("orbit cap must be positive")
     if not on_variety(point):
         raise OffVarietyInputError(f"point {point.to_json()} is not on the variety")
-    a = point.a
+    p = trace_coefficients(point.a)
     seen: set[_TRIPLE] = {point.v}
     frontier: list[_TRIPLE] = [point.v]
     sizes: list[int] = [1]
@@ -220,7 +200,7 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
         for v in frontier:
             for index in (1, 2, 3):
                 for sign in (1, -1):
-                    image = apply_letter(a, v, index, sign)
+                    image = _letter(p, v, index, sign)
                     if image not in seen:
                         next_frontier.add(image)
         if not next_frontier:
@@ -246,13 +226,16 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
 
 # -- fixed loci ---------------------------------------------------------------
 
-def fixed_ideal_generators(subgroup: SubgroupSpec) -> tuple[Polynomial, ...]:
-    """Raw generators: the cubic plus (word image - v) components per generator word."""
-    gens: list[Polynomial] = [fricke_cubic()]
+def fixed_ideal_generators(subgroup: SubgroupSpec, a: Sequence = A_POLYS) -> tuple[Polynomial, ...]:
+    """Raw generators: the cubic plus (word image - v) components per generator word.
+
+    ``a`` is symbolic by default; rational boundary traces give the same
+    generators specialized at ``a``, with components that vanish there dropped.
+    """
+    gens: list[Polynomial] = [cubic_value(a, V_POLYS)]
     for word in subgroup.generators:
-        images = word_triple(word)
-        for name, image in zip(V_VARS, images):
-            diff = image - Polynomial.variable(name)
+        for var, image in zip(V_POLYS, _act(a, V_POLYS, word.letters)):
+            diff = image - var
             if not diff.is_zero():
                 gens.append(diff)
     return tuple(gens)
@@ -287,13 +270,7 @@ def fixed_points_at(a: Sequence[Fraction], subgroup: SubgroupSpec) -> FixedPoint
     its basis instead of a solution list.
     """
     a = tuple(Fraction(x) for x in a)
-    assignment = {name: Polynomial.constant(val) for name, val in zip(("a1", "a2", "a3", "a4"), a)}
-    specialized = []
-    for gen in fixed_ideal_generators(subgroup):
-        g = gen.substitute(assignment)
-        if not g.is_zero():
-            specialized.append(g)
-    ideal = Ideal(tuple(specialized), V_VARS)
+    ideal = Ideal(fixed_ideal_generators(subgroup, a), V_VARS)
     try:
         solution: ZeroDimensionalSolution = groebner.solve_zero_dimensional(ideal)
     except NotZeroDimensionalError as err:
@@ -304,12 +281,9 @@ def fixed_points_at(a: Sequence[Fraction], subgroup: SubgroupSpec) -> FixedPoint
             zero_dimensional=False,
             positive_dimensional_basis=err.basis.polynomials,
         )
-    points = tuple(
-        (pt["v1"], pt["v2"], pt["v3"]) for pt in solution.points
-    )
     return FixedPoints(
         a=a,
-        solutions=points,
+        solutions=tuple((pt["v1"], pt["v2"], pt["v3"]) for pt in solution.points),
         residuals=solution.residuals,
         zero_dimensional=True,
     )

@@ -3,10 +3,13 @@
 The character variety of the four-punctured sphere embeds in C^7 via the
 boundary traces ``a = (a1..a4)`` and the pair traces
 ``v = (v1, v2, v3) = (tr(A1 A2), tr(A2 A3), tr(A1 A3))``.  Its defining cubic
-is :func:`fricke_cubic`.  A real point is a unitary (SU(2)) class exactly when
-all ``a_i`` lie in ``[-2, 2]`` and the two trace intervals ``I(a1,a2)`` and
-``I(a3,a4)`` meet; interval endpoints are quadratic surds, and all comparisons
-here are exact (no floating point anywhere in this module).
+is written once, in :func:`cubic_value`, over any ring: it evaluates exact
+points and complex holonomy traces, and at the variables themselves it is the
+polynomial :func:`fricke_cubic`.  A real point is a unitary (SU(2)) class
+exactly when all ``a_i`` lie in ``[-2, 2]`` and the two trace intervals
+``I(a1,a2)`` and ``I(a3,a4)`` meet; interval endpoints are quadratic surds,
+and all comparisons here are exact (no floating point anywhere in this
+module).
 """
 
 from __future__ import annotations
@@ -27,6 +30,26 @@ class OffVarietyError(ValueError):
     """Classification was requested for a point with nonzero cubic value."""
 
 
+A_POLYS = tuple(Polynomial.variable(n) for n in A_VARS)
+V_POLYS = tuple(Polynomial.variable(n) for n in V_VARS)
+
+
+def trace_coefficients(a: Sequence) -> tuple:
+    """The linear-coefficient data (p1, p2, p3) of the cubic at fixed a."""
+    a1, a2, a3, a4 = a
+    return (a1 * a2 + a3 * a4, a1 * a4 + a2 * a3, a1 * a3 + a2 * a4)
+
+
+def cubic_value(a: Sequence, v: Sequence):
+    """The Fricke cubic at (a, v), in whatever ring the coordinates lie in."""
+    a1, a2, a3, a4 = a
+    v1, v2, v3 = v
+    p1, p2, p3 = trace_coefficients(a)
+    return (v1 * v1 + v2 * v2 + v3 * v3 + v1 * v2 * v3
+            - p1 * v1 - p2 * v2 - p3 * v3
+            + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a1 * a2 * a3 * a4 - 4)
+
+
 @lru_cache(maxsize=1)
 def fricke_cubic() -> Polynomial:
     """The 7-variable trace relation cutting out the moduli space.
@@ -34,23 +57,7 @@ def fricke_cubic() -> Polynomial:
     Expanded form has exactly 16 monomials; the constant block is symmetric
     in all four boundary traces.
     """
-    a1, a2, a3, a4 = (Polynomial.variable(n) for n in A_VARS)
-    v1, v2, v3 = (Polynomial.variable(n) for n in V_VARS)
-    return (
-        v1 ** 2 + v2 ** 2 + v3 ** 2 + v1 * v2 * v3
-        - (a1 * a2 + a3 * a4) * v1
-        - (a1 * a4 + a2 * a3) * v2
-        - (a1 * a3 + a2 * a4) * v3
-        + a1 ** 2 + a2 ** 2 + a3 ** 2 + a4 ** 2
-        + a1 * a2 * a3 * a4
-        - 4
-    )
-
-
-def trace_coefficients(a: Sequence[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-    """The linear-coefficient data (p1, p2, p3) of the cubic at fixed a."""
-    a1, a2, a3, a4 = (Fraction(x) for x in a)
-    return (a1 * a2 + a3 * a4, a1 * a4 + a2 * a3, a1 * a3 + a2 * a4)
+    return cubic_value(A_POLYS, V_POLYS)
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class TracePoint:
         return out
 
     def cubic_value(self) -> Fraction:
-        return fricke_cubic().evaluate(self.assignment())
+        return cubic_value(self.a, self.v)
 
     def to_json(self) -> dict:
         return {

@@ -130,15 +130,19 @@ def _triple_json(v) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def execute(args: argparse.Namespace) -> dict:
-    """Dispatch a parsed command; returns the report dictionary."""
-    name = args.subcommand
-    inputs = {
+def _inputs(args: argparse.Namespace) -> dict:
+    """The arguments a report echoes back, whatever its status."""
+    return {
         key: value
         for key, value in vars(args).items()
         if key not in ("subcommand", "format") and value not in (None, False, [])
     }
-    report = {"status": OK, "command": name, "inputs": inputs, "result": None}
+
+
+def execute(args: argparse.Namespace) -> dict:
+    """Dispatch a parsed command; returns the report dictionary."""
+    name = args.subcommand
+    report = {"status": OK, "command": name, "inputs": _inputs(args), "result": None}
 
     if name == "classify":
         point = _point_from_args(args)
@@ -255,8 +259,8 @@ def _text_lines(value, indent: str) -> list[str]:
     return [f"{indent}{value}"]
 
 
-def _error_report(command: str, message: str, status: str = ERROR) -> dict:
-    return {"status": status, "command": command, "inputs": {}, "result": None,
+def _error_report(command: str, inputs: dict, message: str, status: str = ERROR) -> dict:
+    return {"status": status, "command": command, "inputs": inputs, "result": None,
             "message": message}
 
 
@@ -273,12 +277,13 @@ def main(argv: list[str] | None = None) -> int:
             line = line.strip()
             if not line:
                 continue
+            inputs = {"line": line}
             try:
                 point = TracePoint.from_json(json.loads(line))
                 report = {"status": OK, "command": "classify",
-                          "inputs": {"line": line}, "result": _classify_result(point)}
+                          "inputs": inputs, "result": _classify_result(point)}
             except Exception as err:  # noqa: BLE001 - report and keep going
-                report = _error_report("classify", str(err))
+                report = _error_report("classify", inputs, str(err))
             print(json.dumps(report, allow_nan=False))
             worst = max(worst, _EXIT_CODES[report["status"]])
         return worst
@@ -286,9 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = execute(args)
     except groebner.ResourceCapError as err:
-        report = _error_report(args.subcommand, str(err), CAP_EXCEEDED)
+        report = _error_report(args.subcommand, _inputs(args), str(err), CAP_EXCEEDED)
     except Exception as err:  # noqa: BLE001 - all failures become error reports
-        report = _error_report(args.subcommand, str(err))
+        report = _error_report(args.subcommand, _inputs(args), str(err))
     print(emit_report(report, args.format))
     return _EXIT_CODES[report["status"]]
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charvariety import NON_REAL, SL2R, SU2, ClassLabel, fricke_cubic
+from .charvariety import NON_REAL, SL2R, SU2, ClassLabel, cubic_value
 from .exactalg import Polynomial
 from .groebner import Ideal
 
@@ -354,17 +354,6 @@ class HolonomyResult:
         }
 
 
-def evaluate_complex(poly: Polynomial, point: dict[str, complex]) -> complex:
-    """Floating-point evaluation of an exact polynomial at a complex point."""
-    total = 0j
-    for mono, coeff in poly.items():
-        value = complex(coeff)
-        for name, exp in mono.pairs:
-            value *= point[name] ** exp
-        total += value
-    return total
-
-
 def traces(monodromy: MonodromyTuple) -> tuple[tuple[complex, ...], tuple[complex, ...], float]:
     """The seven trace coordinates of a monodromy tuple and the cubic residual."""
     A1, A2, A3, A4 = monodromy.A
@@ -374,9 +363,7 @@ def traces(monodromy: MonodromyTuple) -> tuple[tuple[complex, ...], tuple[comple
         complex(np.trace(A2 @ A3)),
         complex(np.trace(A1 @ A3)),
     )
-    assignment = dict(zip(("a1", "a2", "a3", "a4"), a))
-    assignment.update(zip(("v1", "v2", "v3"), v))
-    residual = abs(evaluate_complex(fricke_cubic(), assignment))
+    residual = abs(cubic_value(a, v))
     return a, v, residual
 
 

@@ -617,9 +617,7 @@ def _deflate(ints: list[int], root: Fraction) -> list[int]:
     quotient = [Fraction(descending[0])]
     for c in descending[1:-1]:
         quotient.append(quotient[-1] * root + c)
-    den = 1
-    for c in quotient:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in quotient))
     return [int(c * den) for c in quotient[::-1]]
 
 
@@ -633,9 +631,7 @@ def rational_roots(poly: Polynomial, name: str) -> tuple[list[Fraction], Polynom
     coeffs = _uni_trim(univariate_coefficients(poly, name))
     if not coeffs:
         raise ValueError("the zero polynomial has every value as a root")
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     roots: list[Fraction] = []
     while len(ints) > 1 and ints[0] == 0:

@@ -7,7 +7,7 @@ import pytest
 
 from fricke import braid, groebner as gb
 from fricke.braid import BraidWord, SubgroupSpec
-from fricke.charvariety import TracePoint, V_VARS, fricke_cubic, on_variety
+from fricke.charvariety import A_VARS, TracePoint, V_VARS, fricke_cubic, on_variety
 from fricke.exactalg import Polynomial, parse_polynomial
 
 from conftest import random_trace_point
@@ -20,6 +20,48 @@ TWO_POINT_SUBGROUP = SubgroupSpec.parse(["t2", "t1t1", "t3t3"])
 
 def identity_triple():
     return tuple(Polynomial.variable(n) for n in V_VARS)
+
+
+# written out here, apart from braid: tau_i is the second involution after the first
+INVOLUTION_FACTORS = {1: (3, 2), 2: (1, 3), 3: (2, 1)}
+
+
+def involution_triple(j):
+    """Images of (v1, v2, v3) under the j-th root swap vj -> pj - (other two) - vj."""
+    a1, a2, a3, a4 = (Polynomial.variable(n) for n in A_VARS)
+    v1, v2, v3 = identity_triple()
+    swapped = {
+        1: (a1 * a2 + a3 * a4 - v2 * v3 - v1, v2, v3),
+        2: (v1, a1 * a4 + a2 * a3 - v1 * v3 - v2, v3),
+        3: (v1, v2, a1 * a3 + a2 * a4 - v1 * v2 - v3),
+    }
+    return swapped[j]
+
+
+def oracle_word_triple(word):
+    """A word's images, composed from the involutions by substitution."""
+    current = identity_triple()
+    for index, sign in word.letters:
+        first, second = INVOLUTION_FACTORS[index]
+        if sign < 0:
+            first, second = second, first
+        for j in (first, second):
+            images = dict(zip(V_VARS, current))
+            current = tuple(poly.substitute(images) for poly in involution_triple(j))
+    return current
+
+
+def degree_bound(letters):
+    """An upper bound on the images' degree, from deg(pj - vk vm - vj)."""
+    degrees = [1, 1, 1]
+    for index, sign in letters:
+        first, second = INVOLUTION_FACTORS[index]
+        if sign < 0:
+            first, second = second, first
+        for j in (first, second):
+            k, m = (i for i in range(3) if i != j - 1)
+            degrees[j - 1] = max(2, degrees[k] + degrees[m], degrees[j - 1])
+    return max(degrees)
 
 
 class TestWords:
@@ -76,6 +118,19 @@ class TestSymbolicGenerators:
                 point = random_trace_point(rng)
                 sym = tuple(img.evaluate(point.assignment()) for img in images)
                 assert sym == braid.apply_word(word, point).v
+
+    def test_word_triple_matches_substitution_oracle(self):
+        # degrees can grow threefold per letter, and a 4-letter word of
+        # degree 30 takes seconds, so words past degree 13 are redrawn
+        rng = random.Random(45)
+        words = []
+        while len(words) < 32:
+            letters = tuple((rng.randint(1, 3), rng.choice((1, -1)))
+                            for _ in range(1 + len(words) % 4))
+            if degree_bound(letters) <= 13:
+                words.append(BraidWord(letters))
+        for word in words:
+            assert braid.word_triple(word) == oracle_word_triple(word), str(word)
 
 
 class TestPointwiseAction:
@@ -224,6 +279,21 @@ class TestFixedIdeal:
         ]
         key = sympy.core.sorting.default_sort_key
         assert sorted(map(monic, theirs.exprs), key=key) == sorted(ours, key=key)
+
+    @pytest.mark.parametrize("gens", ["t2;t1t1;t3t3", "t1;t2", "t1t2"])
+    def test_rational_boundary_matches_specialized_generators(self, gens):
+        subgroup = SubgroupSpec.parse(gens.split(";"))
+        symbolic = braid.fixed_ideal_generators(subgroup)
+        rng = random.Random(46)
+        boundaries = [(1, -1, -1, -1)]
+        boundaries += [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(20)]
+        boundaries += [(F(3, 2), F(1, 2), F(1, 2), F(-3, 2)), (F(-2, 3), 0, F(5, 4), 1),
+                       (F(1, 7), F(-9, 2), 3, F(2, 5))]
+        for a in boundaries:
+            assignment = {n: Polynomial.constant(x) for n, x in zip(A_VARS, a)}
+            specialized = tuple(g.substitute(assignment) for g in symbolic)
+            expected = tuple(g for g in specialized if not g.is_zero())
+            assert braid.fixed_ideal_generators(subgroup, tuple(map(F, a))) == expected, a
 
 
 class TestFixedPoints:

@@ -13,6 +13,7 @@ from fricke.charvariety import (
     QuadraticNumber,
     TracePoint,
     classify,
+    cubic_value,
     fricke_cubic,
     intervals_intersect,
     on_variety,
@@ -42,6 +43,41 @@ class TestCubic:
         rng = random.Random(17)
         for _ in range(100):
             assert on_variety(random_trace_point(rng))
+
+
+class TestClosedForm:
+    """``cubic_value`` is the one written form of the cubic; pin it to the polynomial."""
+
+    def test_rational_points_match_polynomial(self):
+        rng = random.Random(61)
+        f = fricke_cubic()
+        on = 0
+        for i in range(200):
+            if i % 2:
+                point = random_trace_point(rng)
+                a, v = point.a, point.v
+            else:
+                a, v = (tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+                        for n in (4, 3))
+            value = cubic_value(a, v)
+            assert value == f.evaluate(dict(zip(ALL_VARS, a + v)))
+            on += value == 0
+        assert 100 <= on < 200
+
+    def test_complex_points_match_term_sum(self):
+        rng = random.Random(62)
+        terms = list(fricke_cubic().items())
+        for _ in range(50):
+            coords = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(7)]
+            point = dict(zip(ALL_VARS, coords))
+            expected = 0j
+            for mono, coeff in terms:
+                term = complex(coeff)
+                for name, exp in mono.pairs:
+                    term *= point[name] ** exp
+                expected += term
+            got = cubic_value(coords[:4], coords[4:])
+            assert abs(got - expected) <= 1e-9 * abs(expected)
 
 
 class TestOnVariety:

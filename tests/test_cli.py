@@ -202,6 +202,33 @@ class TestMainAndExitCodes:
         assert report["message"] == str(error)
         validate_schema(report)
 
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["fixed-ideal", "--gens", "t2;t1t1;t3t3"], {"gens": "t2;t1t1;t3t3"}),
+            (["fixed-points", "--a", "1,-1,-1,-1", "--gens", "t1;t2"],
+             {"a": "1,-1,-1,-1", "gens": "t1;t2"}),
+        ],
+        ids=["fixed-ideal", "fixed-points"],
+    )
+    def test_cap_report_keeps_inputs(self, capsys, monkeypatch, argv, inputs):
+        def raise_cap(*args, **kwargs):
+            raise gb.ResourceCapError("S-pair budget of 1 exceeded")
+
+        monkeypatch.setattr(gb, "groebner_basis", raise_cap)
+        monkeypatch.setattr(gb, "solve_zero_dimensional", raise_cap)
+        assert run_main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "cap-exceeded"
+        assert report["inputs"] == inputs
+        validate_schema(report)
+
+    def test_error_report_keeps_inputs(self, capsys):
+        assert run_main(["orbit", "--a", "x,0,0,0", "--v", "2,0,0"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"] == {"a": "x,0,0,0", "v": "2,0,0", "cap": 10000}
+        validate_schema(report)
+
     def test_byte_identical_reports(self, capsys):
         argv = ["fixed-ideal", "--gens", "t2"]
         run_main(argv)
@@ -235,6 +262,18 @@ class TestMainAndExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert code == 2
         assert report["status"] == "error"
+
+    def test_stdin_bad_line_keeps_its_line(self, capsys):
+        good = json.dumps({"a": ["2", "2", "2", "2"], "v": ["2", "2", "2"]})
+        off = json.dumps({"a": ["0", "0", "0", "0"], "v": ["1", "0", "0"]})
+        code = run_main(["classify", "--stdin"], stdin_text=f"{good}\nnot json\n{off}\n")
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 2
+        assert [r["status"] for r in reports] == ["ok", "error", "error"]
+        assert [r["inputs"] for r in reports] == [{"line": good}, {"line": "not json"},
+                                                  {"line": off}]
+        for report in reports:
+            validate_schema(report)
 
     def test_bad_rational_reports_flag(self, capsys):
         code = run_main(["orbit", "--a", "x,0,0,0", "--v", "2,0,0"])
