@@ -8,8 +8,9 @@ generator factors into two of the root-swap involutions
 of the cubic, which is monic quadratic in each ``vj``; this is why the inverse
 maps are again polynomial.  Words are strings over ``t1 t2 t3`` (capitals for
 inverses).  The action is written once, over any ring: on exact trace points
-it is the pointwise map, and the symbolic images of ``(v1, v2, v3)`` are the
-same map run on the variable polynomials.
+it is the pointwise map, run in ``int`` when every coordinate is integral (the
+maps have integer coefficients) and in ``Fraction`` otherwise, and the
+symbolic images of ``(v1, v2, v3)`` are the same map run on polynomials.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .charvariety import (
     V_POLYS,
     V_VARS,
     cubic_value,
+    integral,
     on_variety,
     trace_coefficients,
 )
@@ -140,7 +142,8 @@ def apply_word(word: BraidWord, point: TracePoint) -> TracePoint:
     """Apply a word letters-first-to-last to an exact on-variety point."""
     if not on_variety(point):
         raise OffVarietyInputError(f"point {point.to_json()} is not on the variety")
-    return TracePoint(point.a, _act(point.a, point.v, word.letters))
+    coords = integral(point.a + point.v)
+    return TracePoint(point.a, _act(coords[:4], coords[4:], word.letters))
 
 
 def _compose(outer: tuple[Polynomial, ...], inner: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
@@ -190,13 +193,14 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
         raise ValueError("orbit cap must be positive")
     if not on_variety(point):
         raise OffVarietyInputError(f"point {point.to_json()} is not on the variety")
-    p = trace_coefficients(point.a)
-    seen: set[_TRIPLE] = {point.v}
-    frontier: list[_TRIPLE] = [point.v]
+    coords = integral(point.a + point.v)
+    p = trace_coefficients(coords[:4])
+    seen: set[tuple] = {coords[4:]}
+    frontier: list[tuple] = [coords[4:]]
     sizes: list[int] = [1]
     status = ORBIT_COMPLETE
     while frontier:
-        next_frontier: set[_TRIPLE] = set()
+        next_frontier: set[tuple] = set()
         for v in frontier:
             for index in (1, 2, 3):
                 for sign in (1, -1):
@@ -218,7 +222,7 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
         frontier = sorted(next_frontier)
     return Orbit(
         basepoint=point,
-        points=tuple(sorted(seen)),
+        points=tuple(tuple(map(Fraction, v)) for v in sorted(seen)),
         status=status,
         frontier_sizes=tuple(sizes),
     )

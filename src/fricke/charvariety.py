@@ -40,6 +40,13 @@ def trace_coefficients(a: Sequence) -> tuple:
     return (a1 * a2 + a3 * a4, a1 * a4 + a2 * a3, a1 * a3 + a2 * a4)
 
 
+def integral(values: Sequence) -> tuple:
+    """The values as ``int`` when every denominator is 1, else unchanged."""
+    if all(x.denominator == 1 for x in values):
+        return tuple(x.numerator for x in values)
+    return tuple(values)
+
+
 def cubic_value(a: Sequence, v: Sequence):
     """The Fricke cubic at (a, v), in whatever ring the coordinates lie in."""
     a1, a2, a3, a4 = a
@@ -79,7 +86,8 @@ class TracePoint:
         return out
 
     def cubic_value(self) -> Fraction:
-        return cubic_value(self.a, self.v)
+        coords = integral(self.a + self.v)
+        return Fraction(cubic_value(coords[:4], coords[4:]))
 
     def to_json(self) -> dict:
         return {

@@ -612,13 +612,14 @@ def _divisors(n: int) -> list[int]:
 
 
 def _deflate(ints: list[int], root: Fraction) -> list[int]:
-    """Divide the ascending integer coefficient list by (x - root), re-cleared."""
+    """Divide the ascending integer coefficients by (x - root); integral at a root (Gauss)."""
     descending = ints[::-1]
     quotient = [Fraction(descending[0])]
     for c in descending[1:-1]:
         quotient.append(quotient[-1] * root + c)
-    den = lcm(*(c.denominator for c in quotient))
-    return [int(c * den) for c in quotient[::-1]]
+    if any(c.denominator != 1 for c in quotient):
+        raise ValueError(f"{root} is not a root")
+    return [c.numerator for c in quotient[::-1]]
 
 
 def rational_roots(poly: Polynomial, name: str) -> tuple[list[Fraction], Polynomial | None]:

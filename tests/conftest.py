@@ -33,16 +33,11 @@ def mat_trace(x: Mat2) -> Fraction:
     return x[0] + x[3]
 
 
-def random_sl2(rng: random.Random, size: int = 2) -> Mat2:
-    """Product of elementary shear matrices: exact determinant 1.
-
-    Integer shears keep all traces integral, which keeps the braid-word
-    round-trip tests fast (no rational gcd work on huge denominators).
-    """
+def shear_product(shears) -> Mat2:
+    """Product of elementary shear matrices ``(x, lower)``: exact determinant 1."""
     m = IDENTITY
-    for _ in range(rng.randint(1, 3)):
-        x = Fraction(rng.randint(-size, size))
-        lower = rng.random() < 0.5
+    for x, lower in shears:
+        x = Fraction(x)
         shear: Mat2 = (
             (Fraction(1), x, Fraction(0), Fraction(1))
             if not lower
@@ -52,9 +47,18 @@ def random_sl2(rng: random.Random, size: int = 2) -> Mat2:
     return m
 
 
-def random_trace_point(rng: random.Random) -> TracePoint:
-    """An exact on-variety point, built from an actual SL2 quadruple."""
-    m1, m2, m3 = (random_sl2(rng) for _ in range(3))
+def random_sl2(rng: random.Random, size: int = 2) -> Mat2:
+    """A product of one to three random integer shears.
+
+    Integer shears keep all traces integral, which keeps the braid-word
+    round-trip tests fast (no rational gcd work on huge denominators).
+    """
+    return shear_product((rng.randint(-size, size), rng.random() < 0.5)
+                         for _ in range(rng.randint(1, 3)))
+
+
+def sl2_trace_point(m1: Mat2, m2: Mat2, m3: Mat2) -> TracePoint:
+    """The trace coordinates of the quadruple (m1, m2, m3, (m1 m2 m3)^-1)."""
     m4 = mat_inv_sl2(mat_mul(mat_mul(m1, m2), m3))
     a = (mat_trace(m1), mat_trace(m2), mat_trace(m3), mat_trace(m4))
     v = (
@@ -63,6 +67,11 @@ def random_trace_point(rng: random.Random) -> TracePoint:
         mat_trace(mat_mul(m1, m3)),
     )
     return TracePoint(a, v)
+
+
+def random_trace_point(rng: random.Random) -> TracePoint:
+    """An exact on-variety point, built from an actual SL2 quadruple."""
+    return sl2_trace_point(*(random_sl2(rng) for _ in range(3)))
 
 
 def random_traceless_matrix(rng: random.Random, scale: float) -> np.ndarray:

@@ -4,13 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fricke import braid, groebner as gb
 from fricke.braid import BraidWord, SubgroupSpec
-from fricke.charvariety import A_VARS, TracePoint, V_VARS, fricke_cubic, on_variety
+from fricke.charvariety import (
+    A_VARS, SU2, TracePoint, V_VARS, classify, fricke_cubic, on_variety,
+)
 from fricke.exactalg import Polynomial, parse_polynomial
 
-from conftest import random_trace_point
+from conftest import random_trace_point, shear_product, sl2_trace_point
 
 P = parse_polynomial
 
@@ -218,6 +221,89 @@ class TestOrbits:
         second = braid.enumerate_orbit(point, cap=200)
         assert first.points == second.points
         assert first.frontier_sizes == second.frontier_sizes
+
+
+# the six signed generators as the oracle's substitution-composed images
+ORACLE_GENERATORS = [oracle_word_triple(BraidWord(((index, sign),)))
+                     for index in (1, 2, 3) for sign in (1, -1)]
+
+
+def oracle_orbit(point, cap):
+    """Breadth-first closure in Fraction only, capped the way enumerate_orbit caps."""
+    boundary = dict(zip(A_VARS, point.a))
+
+    def images(v):
+        at = boundary | dict(zip(V_VARS, v))
+        return {tuple(poly.evaluate(at) for poly in triple) for triple in ORACLE_GENERATORS}
+
+    seen, frontier, sizes = {point.v}, [point.v], [1]
+    status = braid.ORBIT_COMPLETE
+    while frontier:
+        fresh = set().union(*map(images, frontier)) - seen
+        if not fresh:
+            break
+        sizes.append(len(fresh))
+        if len(seen) + len(fresh) > cap:
+            status = braid.ORBIT_CAP_EXCEEDED
+            seen.update(sorted(fresh)[:cap - len(seen)])
+            break
+        seen |= fresh
+        frontier = sorted(fresh)
+    return tuple(sorted(seen)), status, tuple(sizes)
+
+
+SHEARS = st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=1, max_size=3)
+WORDS = st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=8)
+
+
+class TestIntegerPath:
+    """Integral points run the action in int; the results must be the Fraction ones."""
+
+    def test_orbits_match_fraction_oracle(self):
+        # basepoints whose first frontier branches (3 or 6 images) give long orbits
+        rng = random.Random(7)
+        checked = 0
+        while checked < 5:
+            point = random_trace_point(rng)
+            expected = oracle_orbit(point, cap=300)
+            if expected[2][1:2] < (3,):
+                continue
+            orbit = braid.enumerate_orbit(point, cap=300)
+            assert (orbit.points, orbit.status, orbit.frontier_sizes) == expected
+            assert all(type(x) is F for v in orbit.points for x in v)
+            word = BraidWord(tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(6)))
+            assert all(type(x) is F for x in braid.apply_word(word, point).v)
+            checked += 1
+
+    def test_finite_su2_orbit_at_rational_boundary(self):
+        # a finite orbit of an SU(2) class; a is not integral, so this runs in Fraction
+        point = TracePoint((F(-3, 2), F(-3, 2), -1, 1), (1, 0, 0))
+        orbit = braid.enumerate_orbit(point, cap=100)
+        assert orbit.status == braid.ORBIT_COMPLETE
+        assert orbit.points == ((F(1, 4), F(0), F(0)), (F(1), F(0), F(0)))
+        assert orbit.frontier_sizes == (1, 1)
+        assert classify(point).label == SU2
+
+    def test_round_trip_with_integral_v_and_rational_a(self):
+        point = TracePoint((F(-3, 2), F(-3, 2), -1, 1), (1, 0, 0))
+        for text in ("t1", "T1t2", "t1t1", "T3t2t2"):
+            word = BraidWord.parse(text)
+            there = braid.apply_word(word, point)
+            images = braid.word_triple(word)
+            assert there.v == tuple(img.evaluate(point.assignment()) for img in images)
+            assert all(type(x) is F for x in there.v)
+            assert braid.apply_word(word.inverse(), there) == point
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.tuples(SHEARS, SHEARS, SHEARS), WORDS)
+    def test_word_action_matches_fraction_action(self, shears, letters):
+        point = sl2_trace_point(*map(shear_product, shears))
+        word = BraidWord(tuple(letters))
+        there = braid.apply_word(word, point)
+        assert there.v == braid._act(point.a, point.v, word.letters)
+        assert all(type(x) is F for x in there.v)
+        assert on_variety(there)
+        assert braid.apply_word(word.inverse(), there) == point
 
 
 class TestFixedIdeal:

@@ -306,6 +306,12 @@ class TestUnivariateSolving:
         assert roots == [F(0), F(1, 2)]
         assert residual is None
 
+    def test_deflation_is_exact(self):
+        # 3x^2 + x - 2 = (3x - 2)(x + 1): dividing by x - 2/3 leaves 3x + 3
+        assert gb._deflate([-2, 1, 3], F(2, 3)) == [3, 3]
+        with pytest.raises(ValueError):
+            gb._deflate([-2, 1, 3], F(1, 2))
+
     def test_irrational_residual(self):
         p = P("x^3 - 2*x")  # x (x^2 - 2)
         roots, residual = gb.rational_roots(p, "x")
