@@ -135,7 +135,7 @@ def _inputs(args: argparse.Namespace) -> dict:
     return {
         key: value
         for key, value in vars(args).items()
-        if key not in ("subcommand", "format") and value not in (None, False, [])
+        if key not in ("subcommand", "format") and not (value is None or value is False or value == [])
     }
 
 

@@ -3,9 +3,10 @@
 A residue tuple is four traceless 2x2 complex matrices summing to zero,
 attached to the punctures ``(0, 1, t, infinity)``.  Parallel transport of the
 fundamental solution of ``Y' = -(sum_i X_i/(z - c_i)) Y`` around the finite
-punctures yields monodromy matrices; the tuple is re-ordered to puncture order
-with conjugation moves so that ``A1 A2 A3 A4 = I`` holds with
-``A4 = (A1 A2 A3)^-1`` conjugate to the monodromy at infinity.
+punctures, in Taylor-series steps that each cover a fixed fraction of the
+distance to the nearest puncture, yields monodromy matrices; the tuple is
+re-ordered to puncture order with conjugation moves so that ``A1 A2 A3 A4 = I``
+holds with ``A4 = (A1 A2 A3)^-1`` conjugate to the monodromy at infinity.
 
 Orientation convention: loops are counterclockwise and transports are
 inverted, so for commuting residues ``A1 = exp(2 pi i X1)``.
@@ -41,18 +42,15 @@ class HolonomyError(RuntimeError):
     pass
 
 
-class PathTooClosePunctureError(HolonomyError):
-    """Step-size collapse: the integration path came too close to a puncture."""
-
-
 # -- small matrix helpers -----------------------------------------------------
 
-def _flat(m: np.ndarray) -> _Mat:
-    return (complex(m[0, 0]), complex(m[0, 1]), complex(m[1, 0]), complex(m[1, 1]))
-
-
-def _unflat(m: _Mat) -> np.ndarray:
-    return np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
+def _unimodular(m: np.ndarray) -> np.ndarray:
+    """``m / sqrt(det m)``: the flow and the conjugation moves conserve det,
+    so any other det is rounding drift, and a det of 0 or inf is all drift."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if det == 0 or not cmath.isfinite(det):
+        raise HolonomyError(f"monodromy lost all precision to rounding (det {det})")
+    return m / cmath.sqrt(det)
 
 
 def matrix_exp_traceless(m: np.ndarray) -> np.ndarray:
@@ -172,110 +170,79 @@ def is_resonant(theta: Sequence[complex], margin: float = 1e-9) -> bool:
     return False
 
 
-# -- adaptive Dormand-Prince transport -----------------------------------------
+# -- Taylor-series transport ---------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-
-
-def _mat_add_scaled(y: _Mat, scale: float, k: _Mat) -> _Mat:
-    return (
-        y[0] + scale * k[0],
-        y[1] + scale * k[1],
-        y[2] + scale * k[2],
-        y[3] + scale * k[3],
-    )
+#: each step covers this fraction of the distance to the nearest puncture, so
+#: the series terms at the step's end fall off like ``TAYLOR_STEP_RATIO ** k``
+TAYLOR_STEP_RATIO = 0.5
+#: far more terms than a convergent series needs to fall below any float tolerance
+MAX_SERIES_TERMS = 400
 
 
 class _Transporter:
-    """Integrates Y' = -(sum X_i/(z - c_i)) Y along parametrized path pieces."""
+    """Continues Y' = -(sum X_i/(z - c_i)) Y along path pieces by Taylor steps.
 
-    def __init__(self, residues: Sequence[_Mat], punctures: Sequence[complex],
-                 tol: float, min_distance: float):
-        self.residues = list(residues)
+    Multiplied by ``P(z) = prod (z - c_i)`` the equation reads ``P Y' = Q Y``
+    with ``Q(z) = -sum X_i prod_{j != i} (z - c_j)``, so the coefficients of
+    ``Y(z + w) = sum y_k w^k`` obey a four-term recurrence and the series
+    converges out to the nearest puncture.  Each step covers
+    ``TAYLOR_STEP_RATIO`` of that distance and sums its series until two
+    terms in a row fall below ``tol * (1 + max |Y|)``.
+    """
+
+    def __init__(self, residues: Sequence[np.ndarray], punctures: Sequence[complex], tol: float):
+        self.residues = [tuple(complex(x) for x in m.reshape(4)) for m in residues]
         self.punctures = list(punctures)
         self.tol = tol
-        self.min_distance = min_distance
         self.steps = 0
         self.error_estimate = 0.0
 
-    def _rhs(self, z: complex, dz: complex, y: _Mat) -> _Mat:
-        a00 = a01 = a10 = a11 = 0j
-        for (x00, x01, x10, x11), c in zip(self.residues, self.punctures):
-            d = z - c
-            if abs(d) < self.min_distance * 1e-3:
-                raise PathTooClosePunctureError(
-                    f"integration path within {abs(d):.3e} of puncture {c}"
-                )
-            w = -dz / d
-            a00 += w * x00
-            a01 += w * x01
-            a10 += w * x10
-            a11 += w * x11
-        return (
-            a00 * y[0] + a01 * y[2],
-            a00 * y[1] + a01 * y[3],
-            a10 * y[0] + a11 * y[2],
-            a10 * y[1] + a11 * y[3],
+    def _step(self, z: complex, h: complex, y: _Mat) -> _Mat:
+        """Y(z + h) from Y(z), summing the series in the scaled terms ``u_k = y_k h^k``."""
+        d0, d1, d2 = (z - c for c in self.punctures)
+        s = h / (d0 * d1 * d2)
+        # p_j: coefficient of w^j in P(z + w) / P(z), times h^j;
+        # Q_j = a, b, e: coefficient of w^j in Q(z + w) / P(z), times h^(j+1)
+        p1, p2, p3 = s * (d0 * d1 + d0 * d2 + d1 * d2), s * h * (d0 + d1 + d2), s * h * h
+        weights = ((d1 * d2, d0 * d2, d0 * d1), (d1 + d2, d0 + d2, d0 + d1), (1, 1, 1))
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (e0, e1, e2, e3) = (
+            tuple(-s * h ** j * (w0 * a + w1 * b + w2 * c) for a, b, c in zip(*self.residues))
+            for j, (w0, w1, w2) in enumerate(weights)
         )
+        threshold = self.tol * (1 + max(abs(v) for v in y))
+        u0, u1, u2 = y, (0j,) * 4, (0j,) * 4  # u_n, u_(n-1), u_(n-2)
+        total, quiet = y, 0
+        for n in range(MAX_SERIES_TERMS):
+            # (n+1) u_(n+1) = sum_j (Q_j - c_j) u_(n-j) with c_j = p_(j+1) (n-j)
+            c0, c1, c2 = p1 * n, p2 * (n - 1), p3 * (n - 2)
+            (f0, f1, f2, f3), (g0, g1, g2, g3), (k0, k1, k2, k3) = u0, u1, u2
+            inv = 1 / (n + 1)
+            u0, u1, u2 = (
+                ((a0 - c0) * f0 + a1 * f2 + (b0 - c1) * g0 + b1 * g2 + (e0 - c2) * k0 + e1 * k2) * inv,
+                ((a0 - c0) * f1 + a1 * f3 + (b0 - c1) * g1 + b1 * g3 + (e0 - c2) * k1 + e1 * k3) * inv,
+                (a2 * f0 + (a3 - c0) * f2 + b2 * g0 + (b3 - c1) * g2 + e2 * k0 + (e3 - c2) * k2) * inv,
+                (a2 * f1 + (a3 - c0) * f3 + b2 * g1 + (b3 - c1) * g3 + e2 * k1 + (e3 - c2) * k3) * inv,
+            ), u0, u1
+            total = (total[0] + u0[0], total[1] + u0[1], total[2] + u0[2], total[3] + u0[3])
+            size = max(abs(v) for v in u0)
+            quiet = quiet + 1 if size < threshold else 0
+            if quiet == 2:
+                self.error_estimate += size
+                return total
+        raise HolonomyError(f"Taylor series not converged within {MAX_SERIES_TERMS} terms")
 
     def run_piece(self, zfun: Callable[[float], complex],
                   dzfun: Callable[[float], complex], y: _Mat) -> _Mat:
-        s = 0.0
-        h = 0.05
-        k1 = self._rhs(zfun(s), dzfun(s), y)
+        s, z = 0.0, zfun(0.0)
         while s < 1.0:
-            h = min(h, 1.0 - s)
-            if h < 1e-13:
-                raise PathTooClosePunctureError("step size collapse on integration path")
-            ks = [k1]
-            for stage in range(1, 7):
-                ys = y
-                for coeff, k in zip(_DP_A[stage], ks):
-                    if coeff:
-                        ys = _mat_add_scaled(ys, h * coeff, k)
-                ks.append(self._rhs(zfun(s + _DP_C[stage] * h), dzfun(s + _DP_C[stage] * h), ys))
-            y_new = y
-            for coeff, k in zip(_DP_A[6], ks):
-                if coeff:
-                    y_new = _mat_add_scaled(y_new, h * coeff, k)
-            err_vec = (0j, 0j, 0j, 0j)
-            for coeff, k in zip(_DP_ERR, ks):
-                if coeff:
-                    err_vec = _mat_add_scaled(err_vec, h * coeff, k)
-            scale = self.tol * (1.0 + max(abs(v) for v in y_new))
-            err = max(abs(v) for v in err_vec) / scale
+            dist = min(abs(z - c) for c in self.punctures)
+            s_next = min(1.0, s + TAYLOR_STEP_RATIO * dist / abs(dzfun(s)))
+            z_next = zfun(s_next)
+            y = self._step(z, z_next - z, y)
+            s, z = s_next, z_next
             self.steps += 1
             if self.steps > MAX_INTEGRATION_STEPS:
-                raise HolonomyError(
-                    f"tolerance not achieved within {MAX_INTEGRATION_STEPS} steps"
-                )
-            if err <= 1.0:
-                s += h
-                y = y_new
-                k1 = ks[6]  # first-same-as-last
-                self.error_estimate += err * scale
-            else:
-                k1 = ks[0]
-            factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
-            h *= min(5.0, max(0.2, factor))
+                raise HolonomyError(f"transport not finished within {MAX_INTEGRATION_STEPS} steps")
         return y
 
 
@@ -371,11 +338,14 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
              tol: float = DEFAULT_HOLONOMY_TOL) -> HolonomyResult:
     """Monodromy of the connection with the given residues and puncture position.
 
-    The three finite-puncture transports are computed by adaptive embedded
-    Runge-Kutta 4(5); the tuple is then reordered from angular order (seen
-    from the basepoint) to puncture order by conjugation moves, which
-    preserves the total product and every conjugacy class.  ``A4`` is defined
-    as ``(A1 A2 A3)^-1`` rather than by integrating around infinity.
+    The three finite-puncture transports are Taylor-series steps (see
+    ``_Transporter``); ``integration_error`` sums the last series term kept
+    at each step.  The tuple is then reordered from angular order (seen from
+    the basepoint) to puncture order by conjugation moves, which preserve
+    the total product and every conjugacy class, and projected to det 1
+    again.  ``A4`` is ``(A1 A2 A3)^-1`` rather than a transport around
+    infinity.  A cap hit or a transported determinant of 0 or inf raises
+    :class:`HolonomyError`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -393,20 +363,14 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
 
     angular = sorted(range(3), key=lambda i: rel_angle(punctures[i]))
 
-    transporter = _Transporter(
-        [_flat(m) for m in residues.X[:3]], punctures, tol, radius
-    )
+    transporter = _Transporter(residues.X[:3], punctures, tol)
     rho: dict[int, np.ndarray] = {}
     for i in range(3):
         y: _Mat = (1 + 0j, 0j, 0j, 1 + 0j)
         for zfun, dzfun in _loop_pieces(basepoint, punctures[i], radius):
             y = transporter.run_piece(zfun, dzfun, y)
-        # the exact flow conserves det (traceless coefficients); project the
-        # drift away so the tuple lands exactly on the representation variety
-        det = y[0] * y[3] - y[1] * y[2]
-        scale = 1 / cmath.sqrt(det)
-        y = (y[0] * scale, y[1] * scale, y[2] * scale, y[3] * scale)
-        rho[i] = _unflat((y[3], -y[1], -y[2], y[0]))  # adjugate = inverse at det 1
+        # transports are inverted: the adjugate is the inverse at det 1
+        rho[i] = _unimodular(np.array([[y[3], -y[1]], [-y[2], y[0]]]))
 
     # geometric tuple in angular order; bubble-sort to puncture order with
     # conjugation moves (g, h) -> (g h g^-1, g), which preserve the product
@@ -419,7 +383,9 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
                 mats[j], mats[j + 1] = g @ h @ np.linalg.inv(g), g
                 labels[j], labels[j + 1] = labels[j + 1], labels[j]
 
-    A1, A2, A3 = mats
+    # the moves leave det drift that the cubic residual multiplies by the
+    # size of its terms, so the final matrices are projected once more
+    A1, A2, A3 = (_unimodular(m) for m in mats)
     A4 = np.linalg.inv(A1 @ A2 @ A3)
     monodromy = MonodromyTuple((A1, A2, A3, A4))
     a, v, fricke_residual = traces(monodromy)

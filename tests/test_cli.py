@@ -229,6 +229,26 @@ class TestMainAndExitCodes:
         assert report["inputs"] == {"a": "x,0,0,0", "v": "2,0,0", "cap": 10000}
         validate_schema(report)
 
+    @pytest.mark.parametrize(
+        "argv, key, value, message",
+        [
+            (["orbit", "--a", "2,2,2,2", "--v", "2,2,2", "--cap", "0"], "cap", 0,
+             "orbit cap must be positive"),
+            (["holonomy", "--residues", "RESIDUES", "--t", "0.5", "--tol", "0"], "tol", 0.0,
+             "tolerance must be positive"),
+        ],
+        ids=["orbit-cap", "holonomy-tol"],
+    )
+    def test_error_report_keeps_rejected_zero(self, capsys, tmp_path, argv, key, value, message):
+        path = tmp_path / "residues.json"
+        path.write_text(json.dumps({"X": [[[0, 0]] * 4] * 4}))
+        argv = [str(path) if arg == "RESIDUES" else arg for arg in argv]
+        assert run_main(argv) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["message"] == message
+        assert report["inputs"][key] == value
+        validate_schema(report)
+
     def test_byte_identical_reports(self, capsys):
         argv = ["fixed-ideal", "--gens", "t2"]
         run_main(argv)

@@ -11,7 +11,7 @@ from fricke import connection as conn
 from fricke import groebner as gb
 from fricke.exactalg import Polynomial, parse_polynomial
 
-from conftest import sample_residue_tuple
+from conftest import random_traceless_matrix, sample_residue_tuple
 
 P = parse_polynomial
 
@@ -93,12 +93,15 @@ class TestExpMap:
 
 
 class TestHolonomy:
-    def test_commuting_residues_match_closed_form(self):
+    @pytest.mark.parametrize("theta", [1 / 3, 0.8, 1.45], ids=["1/3", "0.8", "1.45"])
+    @pytest.mark.parametrize("t", [0.5, 0.35 + 0.6j], ids=["0.5", "0.35+0.6j"])
+    def test_commuting_residues_match_closed_form(self, t, theta):
         # residues at 0 and 1 commute, so the transport is the exact
-        # matrix exponential; trace 2 cos(pi/3) = 1
-        residues = commuting_residue_tuple()
-        result = conn.holonomy(residues, conn.PunctureConfig(0.5), tol=1e-10)
-        assert abs(result.a[0] - 1) < 1e-8
+        # matrix exponential, with trace 2 cos(pi theta)
+        x = diag(theta / 2, -theta / 2)
+        residues = conn.ResidueTuple((x, -x, ZERO, ZERO))
+        result = conn.holonomy(residues, conn.PunctureConfig(t), tol=1e-10)
+        assert abs(result.a[0] - 2 * math.cos(math.pi * theta)) < 1e-8
         closed_form = conn.matrix_exp_traceless(2j * math.pi * residues.X[0])
         assert np.max(np.abs(result.monodromy.A[0] - closed_form)) < 1e-8
 
@@ -140,6 +143,26 @@ class TestHolonomy:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=0)
+
+    def test_series_term_cap_raises(self):
+        # steps at half the distance to the nearest puncture shrink the terms
+        # about 2x each, so 1e-200 is out of reach within the term cap
+        with pytest.raises(conn.HolonomyError, match="terms"):
+            conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=1e-200)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(conn, "MAX_INTEGRATION_STEPS", 10)
+        with pytest.raises(conn.HolonomyError, match="10 steps"):
+            conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=1e-10)
+
+    def test_lost_precision_raises(self):
+        # strongly non-unitary residues: the transported entries reach about
+        # 4e8, and the determinant, which should be 1, cancels to exactly 0
+        rng = random.Random(83)
+        X = [random_traceless_matrix(rng, 1.5) for _ in range(3)]
+        X.append(-(X[0] + X[1] + X[2]))
+        with pytest.raises(conn.HolonomyError, match="lost all precision"):
+            conn.holonomy(conn.ResidueTuple(tuple(X)), conn.PunctureConfig(0.5), tol=1e-8)
 
 
 class TestTraces:

@@ -182,6 +182,26 @@ class TestBuchberger:
         assert gb.verify_groebner(basis) is True
         assert len(reduced) == 125
 
+    @pytest.mark.parametrize(
+        "lms, live, expected",
+        [
+            # lcm(x^2, y) = x^2 y = lcm(x^2, xy): criterion B keeps (0, 1)
+            # because of (0, 2); M drops (0, 2) behind (1, 2)
+            (((2, 0), (1, 1), (0, 1)), {(0, 1)}, ({(0, 1), (1, 2)}, [1])),
+            # the same with the roles swapped: (0, 1) kept because of (1, 2)
+            (((1, 1), (2, 0), (0, 1)), {(0, 1)}, ({(0, 1), (0, 2)}, [0])),
+            # in (x, z): the coprime pair (0, 2) first drops (1, 2) under F,
+            # and only then goes itself
+            (((1, 0), (1, 1), (0, 1)), set(), (set(), [])),
+            # control: x^2 y^2 is divided by xy and has a different lcm with
+            # each, so B drops (0, 1)
+            (((2, 0), (0, 2), (1, 1)), {(0, 1)}, ({(0, 2), (1, 2)}, [0, 1])),
+        ],
+        ids=["equal-lcm-first", "equal-lcm-second", "coprime-last", "control"],
+    )
+    def test_update_pairs_on_hand_built_monomials(self, lms, live, expected):
+        assert gb._update_pairs(list(lms), set(live), len(lms) - 1) == expected
+
     def test_generators_are_members(self):
         ideal = gb.Ideal.of([P("x^2 + y"), P("y^3 - x")], ("x", "y"))
         for g in ideal.generators:
