@@ -34,6 +34,8 @@ THETA_VARS = ("th1", "th2", "th3", "th4")
 RESIDUE_TOL = 1e-12
 DEFAULT_HOLONOMY_TOL = 1e-10
 MAX_INTEGRATION_STEPS = 1_000_000
+# a det at most this times max|entry|**2 is lost in rounding (see _unimodular)
+_DET_NOISE = 4 * 2.0 ** -52
 
 _Mat = tuple[complex, complex, complex, complex]  # row-major 2x2
 
@@ -46,10 +48,14 @@ class HolonomyError(RuntimeError):
 
 def _unimodular(m: np.ndarray) -> np.ndarray:
     """``m / sqrt(det m)``: the flow and the conjugation moves conserve det,
-    so any other det is rounding drift, and a det of 0 or inf is all drift."""
+    so any other det is rounding drift.  Each product in det carries a
+    rounding error of about ``eps * max|m|**2``, so a det not above a few
+    times that, or not finite, is all drift."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det == 0 or not cmath.isfinite(det):
-        raise HolonomyError(f"monodromy lost all precision to rounding (det {det})")
+    size = np.abs(m).max()
+    if not cmath.isfinite(det) or abs(det) <= _DET_NOISE * size ** 2:
+        raise HolonomyError(f"monodromy lost all precision to rounding "
+                            f"(det {det}, entries up to {size:.3g})")
     return m / cmath.sqrt(det)
 
 
@@ -344,8 +350,8 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
     the basepoint) to puncture order by conjugation moves, which preserve
     the total product and every conjugacy class, and projected to det 1
     again.  ``A4`` is ``(A1 A2 A3)^-1`` rather than a transport around
-    infinity.  A cap hit or a transported determinant of 0 or inf raises
-    :class:`HolonomyError`.
+    infinity.  A cap hit or a determinant lost in rounding (see
+    ``_unimodular``) raises :class:`HolonomyError`.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -2,8 +2,16 @@
 
 Coefficients are :class:`fractions.Fraction`, which is always kept in canonical
 form (reduced, positive denominator).  Polynomials are immutable sparse term
-maps ``{Monomial: Fraction}``; two polynomials are equal exactly when their
-term maps are equal, independently of any ambient variable list.
+maps; two polynomials are equal exactly when their term maps are equal,
+independently of any ambient variable list.
+
+Inside a polynomial a monomial is one int over a module-wide, append-only
+variable register: the exponent of variable ``i`` fills the 16-bit field at
+bit ``16*i``, so a monomial product is one integer add.  The top bit of each
+field is a guard bit; fields below it cannot carry into their neighbour, so
+one guard test on a product's keys catches every exponent past
+:data:`MAX_EXPONENT`, which raises :class:`OverflowError` and never wraps.
+``items()`` and printing unpack keys to name-sorted :class:`Monomial` pairs.
 
 The accepted text grammar: integer and ``p/q`` literals, variable names
 matching ``[a-z][a-z0-9]*``, operators ``+ - * / ^`` and parentheses.
@@ -14,7 +22,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from functools import reduce
+from operator import or_
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
 
@@ -78,7 +88,7 @@ class Monomial:
 
     @staticmethod
     def one() -> "Monomial":
-        return _MONOMIAL_ONE
+        return Monomial()
 
     @staticmethod
     def of(name: str, exp: int = 1) -> "Monomial":
@@ -132,15 +142,81 @@ class Monomial:
         return self._hash
 
     def __str__(self) -> str:
-        if not self._pairs:
-            return "1"
-        return "*".join(n if e == 1 else f"{n}^{e}" for n, e in self._pairs)
+        return _format_pairs(self._pairs)
 
     def __repr__(self) -> str:
         return f"Monomial({dict(self._pairs)!r})"
 
 
-_MONOMIAL_ONE = Monomial()
+def _format_pairs(pairs: tuple[tuple[str, int], ...]) -> str:
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in pairs) or "1"
+
+
+# -- packed monomials -----------------------------------------------------
+
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+_VAR_NAMES: list[str] = []
+_VAR_INDEX: dict[str, int] = {}
+_guard = 0  # the guard bits of every registered field
+
+_Terms = dict[int, Fraction]  # packed monomial -> nonzero coefficient
+
+
+def _shift(name: str) -> int:
+    """Bit offset of ``name``'s field, registering the name on first use."""
+    global _guard
+    if name not in _VAR_INDEX:
+        _VAR_INDEX[name] = len(_VAR_NAMES)
+        _VAR_NAMES.append(name)
+        _guard |= 1 << (_FIELD * _VAR_INDEX[name] + _FIELD - 1)
+    return _FIELD * _VAR_INDEX[name]
+
+
+def _check(exp: int, shift: int) -> int:
+    """``exp`` placed in the field at ``shift``; raises rather than fill its guard bit."""
+    if exp > MAX_EXPONENT:
+        raise OverflowError(f"exponent of {_VAR_NAMES[shift // _FIELD]!r} exceeds {MAX_EXPONENT}")
+    return exp << shift
+
+
+def _pack(mono: Monomial) -> int:
+    return sum(_check(e, _shift(n)) for n, e in mono.pairs)
+
+
+def _fields(key: int) -> Iterator[tuple[int, int]]:
+    """(register index, exponent) of each variable of a packed monomial."""
+    index = 0
+    while key:
+        if key & _FIELD_MASK:
+            yield index, key & _FIELD_MASK
+        key >>= _FIELD
+        index += 1
+
+
+def _pairs(key: int) -> tuple[tuple[str, int], ...]:
+    """The name-sorted ``(name, exponent)`` pairs of a packed monomial."""
+    return tuple(sorted((_VAR_NAMES[i], e) for i, e in _fields(key)))
+
+
+def _mul(a: _Terms, b: _Terms) -> _Terms:
+    out: _Terms = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            out[k] = out[k] + c1 * c2 if k in out else c1 * c2
+    overflowed = _guard & reduce(or_, out, 0)
+    if overflowed:  # report the highest field that reached its guard bit
+        _check(MAX_EXPONENT + 1, overflowed.bit_length() - _FIELD)
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow(terms: _Terms, exponent: int) -> _Terms:
+    result: _Terms = {0: Fraction(1)}
+    for bit in bin(exponent)[2:]:  # left to right: no power past the result is formed
+        result = _mul(_mul(result, result), terms) if bit == "1" else _mul(result, result)
+    return result
 
 
 class Polynomial:
@@ -150,17 +226,11 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Monomial, Fraction] = {}
+        clean: _Terms = {}
         for mono, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                acc = clean.get(mono)
-                total = coeff if acc is None else acc + coeff
-                if total:
-                    clean[mono] = total
-                elif acc is not None:
-                    del clean[mono]
-        self._terms = clean
+            key = _pack(mono)
+            clean[key] = clean.get(key, 0) + Fraction(coeff)
+        self._terms = {k: c for k, c in clean.items() if c}
         self._hash: int | None = None
 
     # -- constructors --------------------------------------------------
@@ -171,43 +241,55 @@ class Polynomial:
 
     @staticmethod
     def constant(value) -> "Polynomial":
-        return Polynomial({_MONOMIAL_ONE: Fraction(value)})
+        value = Fraction(value)
+        return _wrap({0: value} if value else {})
 
     @staticmethod
     def variable(name: str) -> "Polynomial":
-        return Polynomial({Monomial.of(name): Fraction(1)})
+        return _wrap({1 << _shift(name): Fraction(1)})
+
+    @staticmethod
+    def from_exponent_vectors(names: Sequence[str],
+                              terms: Mapping[tuple[int, ...], Fraction]) -> "Polynomial":
+        """The polynomial ``sum(c * prod(names[i]**vec[i]))`` over ``terms``' ``vec: c``."""
+        shifts = [_shift(n) for n in names]
+        return _wrap({sum(map(_check, vec, shifts)): Fraction(c) for vec, c in terms.items() if c})
 
     # -- inspection ----------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        return ((Monomial(_pairs(k)), c) for k, c in self._terms.items())
+
+    def exponent_vectors(self, names: Sequence[str]) -> dict[tuple[int, ...], Fraction]:
+        """Terms as ``{exponent vector over names: coefficient}``; a variable
+        outside ``names`` raises :class:`ValueError`."""
+        shifts = [_shift(n) for n in names]
+        stray = reduce(or_, self._terms, 0) & ~sum(_FIELD_MASK << s for s in shifts)
+        if stray:
+            raise ValueError(f"variable {_pairs(stray)[0][0]!r} not covered by the monomial order")
+        return {tuple(k >> s & _FIELD_MASK for s in shifts): c for k, c in self._terms.items()}
 
     def term_count(self) -> int:
         return len(self._terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return self._terms.get(_pack(mono), Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(_MONOMIAL_ONE, Fraction(0))
+        return self._terms.get(0, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(m.is_one() for m in self._terms)
+        return not any(self._terms)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self._terms:
-            return -1
-        return max(m.degree() for m in self._terms)
+        return max((sum(e for _, e in _fields(k)) for k in self._terms), default=-1)
 
     def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return frozenset(out)
+        return frozenset(n for n, _ in _pairs(reduce(or_, self._terms, 0)))
 
     # -- ring operations -----------------------------------------------
 
@@ -216,19 +298,16 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         merged = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = merged.get(m)
-            total = c if acc is None else acc + c
-            if total:
-                merged[m] = total
-            elif acc is not None:
-                del merged[m]
+        for k, c in other._terms.items():
+            merged[k] = merged[k] + c if k in merged else c
+            if not merged[k]:
+                del merged[k]
         return _wrap(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _wrap({m: -c for m, c in self._terms.items()})
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -243,65 +322,54 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 * m2
-                acc = out.get(m)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total:
-                    out[m] = total
-                elif acc is not None:
-                    del out[m]
-        return _wrap(out)
+        return _wrap(_mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _wrap(_pow(self._terms, exponent))
 
     def scale(self, value) -> "Polynomial":
         value = Fraction(value)
         if not value:
             return _POLY_ZERO
-        return _wrap({m: c * value for m, c in self._terms.items()})
+        return _wrap({k: c * value for k, c in self._terms.items()})
 
     # -- evaluation and substitution -------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a rational point; every occurring variable must be assigned."""
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            val = coeff
-            for name, exp in mono.pairs:
+        for key, coeff in self._terms.items():
+            for index, exp in _fields(key):
+                name = _VAR_NAMES[index]
                 if name not in point:
                     raise EvaluationError(name)
-                val *= Fraction(point[name]) ** exp
-            total += val
+                coeff *= Fraction(point[name]) ** exp
+            total += coeff
         return total
 
     def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
-        """Simultaneous substitution of polynomials for variables."""
-        result = Polynomial.zero()
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff)
-            for name, exp in mono.pairs:
-                base = images.get(name)
-                if base is None:
-                    base = Polynomial.variable(name)
-                term = term * base ** exp
-            result = result + term
-        return result
+        """Simultaneous substitution of polynomials for variables.
+
+        Each image power is computed once per call, and every term's
+        expansion is added into one result map.
+        """
+        bases = {_shift(name) // _FIELD: _coerce(image)._terms for name, image in images.items()}
+        moved_mask = sum(_FIELD_MASK << (_FIELD * i) for i in bases)
+        powers: dict[tuple[int, int], _Terms] = {}
+        out: _Terms = {}
+        for key, coeff in self._terms.items():
+            term = {key & ~moved_mask: coeff}
+            for index, exp in _fields(key & moved_mask):
+                if (index, exp) not in powers:
+                    powers[index, exp] = _pow(bases[index], exp)
+                term = _mul(term, powers[index, exp])
+            for k, c in term.items():
+                out[k] = out[k] + c if k in out else c
+        return _wrap({k: c for k, c in out.items() if c})
 
     # -- equality, hashing, printing -------------------------------------
 
@@ -317,24 +385,25 @@ class Polynomial:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
+    def _display_terms(self) -> list[tuple[tuple[tuple[str, int], ...], Fraction]]:
+        terms = [(_pairs(k), c) for k, c in self._terms.items()]
+        return sorted(terms, key=lambda t: (-sum(e for _, e in t[0]), tuple((n, -e) for n, e in t[0])))
+
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical display order (graded, then lexicographic)."""
-        def key(item):
-            mono, _ = item
-            return (-mono.degree(), tuple((n, -e) for n, e in mono.pairs))
-        return sorted(self._terms.items(), key=key)
+        return [(Monomial(pairs), c) for pairs, c in self._display_terms()]
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            if mono.is_one():
+        for pairs, coeff in self._display_terms():  # no Monomial is built to print
+            if not pairs:
                 body = format_rational(abs(coeff))
             elif abs(coeff) == 1:
-                body = str(mono)
+                body = _format_pairs(pairs)
             else:
-                body = f"{format_rational(abs(coeff))}*{mono}"
+                body = f"{format_rational(abs(coeff))}*{_format_pairs(pairs)}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:
@@ -349,14 +418,14 @@ class Polynomial:
         return parse_polynomial(text, variables)
 
 
-_POLY_ZERO = Polynomial()
-
-
-def _wrap(terms: dict[Monomial, Fraction]) -> Polynomial:
+def _wrap(terms: _Terms) -> Polynomial:
     poly = Polynomial.__new__(Polynomial)
     poly._terms = terms
     poly._hash = None
     return poly
+
+
+_POLY_ZERO = _wrap({})
 
 
 def _coerce(value) -> Polynomial:

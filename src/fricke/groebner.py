@@ -1,13 +1,14 @@
 """Multivariate division, Buchberger's algorithm, and zero-dimensional solving.
 
 Polynomials enter and leave as :class:`fricke.exactalg.Polynomial`; internally
-they are converted to exponent-vector form relative to a monomial order's
-variable list, which keeps the reduction loop tight.  All reduction (S-pairs,
-inter-reduction, ``reduce`` and the ``verify_groebner`` re-check) runs through
-one fraction-free kernel on primitive integer polynomials; rational
-remainders are recovered by dividing by the scale it tracks.  Buchberger
-takes S-pairs off a heap in normal-strategy order; one Gebauer–Möller pair
-update prunes the pairs both it and ``verify_groebner`` reduce.
+they are read from its packed monomials straight into exponent-vector form
+relative to a monomial order's variable list, which keeps the reduction loop
+tight.  All reduction (S-pairs, inter-reduction, ``reduce`` and the
+``verify_groebner`` re-check) runs through one fraction-free kernel on
+primitive integer polynomials; rational remainders are recovered by dividing
+by the scale it tracks.  Buchberger takes S-pairs off a heap in
+normal-strategy order; one Gebauer–Möller pair update prunes the pairs both
+it and ``verify_groebner`` reduce.
 
 Monomial orders: lexicographic, graded reverse lexicographic, and the
 block (elimination) product of two grevlex orders.  Gröbner bases are always
@@ -112,23 +113,11 @@ class MonomialOrder:
             *(-v[i] for i in range(n - 1, k - 1, -1)),
         )
 
-    def index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.variables)}
-
-    def sort_terms(self, poly: Polynomial) -> list[tuple[Monomial, Fraction]]:
-        """Terms of ``poly`` in decreasing order."""
-        idx = self.index()
-        keyf = self.key()
-        return sorted(
-            poly.items(),
-            key=lambda item: keyf(_mono_vec(item[0], idx, len(self.variables))),
-            reverse=True,
-        )
-
     def leading_monomial(self, poly: Polynomial) -> Monomial:
         if poly.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
-        return self.sort_terms(poly)[0][0]
+        lead = max(poly.exponent_vectors(self.variables), key=self.key())
+        return Monomial(zip(self.variables, lead))
 
 
 @dataclass(frozen=True)
@@ -151,10 +140,7 @@ class Ideal:
     def of(generators: Iterable[Polynomial], variables: Iterable[str] | None = None) -> "Ideal":
         gens = tuple(generators)
         if variables is None:
-            seen: set[str] = set()
-            for g in gens:
-                seen.update(g.variables())
-            variables = tuple(sorted(seen))
+            variables = sorted(frozenset().union(*(g.variables() for g in gens)))
         return Ideal(gens, tuple(variables))
 
     def default_order(self) -> MonomialOrder:
@@ -175,30 +161,7 @@ class GroebnerBasis:
         return Ideal(self.polynomials, self.order.variables)
 
 
-# -- conversion helpers -----------------------------------------------------
-
-def _mono_vec(mono: Monomial, idx: dict[str, int], n: int) -> _Vec:
-    vec = [0] * n
-    for name, exp in mono.pairs:
-        pos = idx.get(name)
-        if pos is None:
-            raise ValueError(f"variable {name!r} not covered by the monomial order")
-        vec[pos] = exp
-    return tuple(vec)
-
-
-def _to_vec(poly: Polynomial, order: MonomialOrder) -> _VecPoly:
-    idx = order.index()
-    n = len(order.variables)
-    return {_mono_vec(m, idx, n): c for m, c in poly.items()}
-
-
-def _from_vec(vp: _VecPoly, order: MonomialOrder) -> Polynomial:
-    names = order.variables
-    return Polynomial(
-        {Monomial(tuple(zip(names, vec))): coeff for vec, coeff in vp.items()}
-    )
-
+# -- exponent-vector helpers -------------------------------------------------
 
 def _vec_divides(a: _Vec, b: _Vec) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -332,11 +295,12 @@ def reduce(poly: Polynomial, basis: Iterable[Polynomial], order: MonomialOrder) 
     and the difference ``poly - result`` lies in the ideal the basis generates.
     """
     keyf = order.key()
-    entries = [_entry(_to_vec(g, order), keyf) for g in basis if not g.is_zero()]
-    work, mult = _primitive(_to_vec(poly, order), keyf)
+    entries = [_entry(g.exponent_vectors(order.variables), keyf) for g in basis if not g.is_zero()]
+    work, mult = _primitive(poly.exponent_vectors(order.variables), keyf)
     remainder, scale = _normal_form(work, entries, keyf)
     scale *= mult
-    return _from_vec({v: c / scale for v, c in remainder.items()}, order)
+    quotient = {v: c / scale for v, c in remainder.items()}
+    return Polynomial.from_exponent_vectors(order.variables, quotient)
 
 
 def _update_pairs(lms: Sequence[_Vec], live: set[_Pair], k: int) -> tuple[set[_Pair], list[int]]:
@@ -410,7 +374,7 @@ def buchberger(
             raise ResourceCapError(
                 f"generator degree {g.degree()} exceeds the cap of {max_degree}"
             )
-        add(_entry(_to_vec(g, order), keyf))
+        add(_entry(g.exponent_vectors(order.variables), keyf))
     while heap:
         degree, _, (i, j) = heapq.heappop(heap)
         if (i, j) not in live:  # dropped by criterion B since it was queued
@@ -429,7 +393,7 @@ def buchberger(
 
     reduced = _inter_reduce(basis, keyf)
     polys = tuple(
-        _from_vec(vp, order)
+        Polynomial.from_exponent_vectors(order.variables, vp)
         for vp in sorted(reduced, key=lambda vp: keyf(max(vp, key=keyf)))
     )
     return GroebnerBasis(polys, order)
@@ -465,7 +429,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     always has one (the product criterion).
     """
     keyf = gb.order.key()
-    entries = [_entry(_to_vec(g, gb.order), keyf) for g in gb.polynomials]
+    entries = [_entry(g.exponent_vectors(gb.order.variables), keyf) for g in gb.polynomials]
     live: set[_Pair] = set()
     for k in range(len(entries)):
         live, _ = _update_pairs([e[0] for e in entries], live, k)
@@ -523,13 +487,8 @@ def eliminate(ideal: Ideal, drop: Iterable[str], order: MonomialOrder | None = N
     if order is None:
         order = MonomialOrder.elimination(dropped, keep)
     else:
-        if order.kind == "block":
-            front = set(order.variables[: order.block_size])
-        elif order.kind == "lex":
-            front = set(order.variables[: len(dropped)])
-        else:
-            front = None
-        if front != drop_set:
+        front = {"block": order.block_size, "lex": len(dropped)}.get(order.kind)
+        if front is None or set(order.variables[:front]) != drop_set:
             raise ValueError("elimination order must rank dropped variables above kept ones")
     gb = buchberger(ideal, order)
     keep_set = set(keep)
@@ -544,9 +503,14 @@ def univariate_coefficients(poly: Polynomial, name: str) -> list[Fraction]:
     if not poly.variables() <= {name}:
         raise ValueError(f"polynomial is not univariate in {name!r}: {poly}")
     coeffs = [Fraction(0)] * (poly.degree() + 1)
-    for mono, coeff in poly.items():
-        coeffs[mono.exponent(name)] = coeff
+    for (exp,), coeff in poly.exponent_vectors((name,)).items():
+        coeffs[exp] = coeff
     return coeffs
+
+
+def _uni_poly(coeffs: Sequence, name: str) -> Polynomial:
+    """The polynomial with ascending coefficients ``coeffs`` in ``name``."""
+    return Polynomial.from_exponent_vectors((name,), {(i,): c for i, c in enumerate(coeffs)})
 
 
 def _uni_trim(c: list[Fraction]) -> list[Fraction]:
@@ -556,43 +520,30 @@ def _uni_trim(c: list[Fraction]) -> list[Fraction]:
 
 
 def _uni_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of ``a`` by ``b`` (``b[-1]`` nonzero)."""
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and any(a):
-        _uni_trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
+    for shift in reversed(range(len(q))):
+        factor = q[shift] = a[shift + len(b) - 1] / b[-1]
         for i, bc in enumerate(b):
             a[shift + i] -= factor * bc
-        _uni_trim(a)
-    return q, a
+    return q, _uni_trim(a)
 
 
 def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd; ``[]`` when both are zero."""
     a, b = _uni_trim(list(a)), _uni_trim(list(b))
     while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, _uni_trim(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+        a, b = b, _uni_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
 
 
 def squarefree_part(poly: Polynomial, name: str) -> Polynomial:
     """The square-free part of a univariate polynomial (monic)."""
     coeffs = univariate_coefficients(poly, name)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    g = _uni_gcd(coeffs, deriv)
-    q, r = _uni_divmod(coeffs, g)
-    assert not any(r)
-    lead = q[-1]
-    q = [c / lead for c in q]
-    x = Polynomial.variable(name)
-    return sum((x ** i).scale(c) for i, c in enumerate(q) if c) or Polynomial.zero()
+    q, r = _uni_divmod(coeffs, _uni_gcd(coeffs, [i * c for i, c in enumerate(coeffs)][1:]))
+    assert not r
+    return _uni_poly([c / q[-1] for c in q], name)
 
 
 _DIVISOR_CAP = 10**12
@@ -602,13 +553,8 @@ def _divisors(n: int) -> list[int]:
     n = abs(n)
     if n > _DIVISOR_CAP:
         raise GroebnerError(f"coefficient {n} too large for rational root search")
-    out = []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)})
 
 
 def _deflate(ints: list[int], root: Fraction) -> list[int]:
@@ -661,9 +607,7 @@ def rational_roots(poly: Polynomial, name: str) -> tuple[list[Fraction], Polynom
     roots.sort()
     if len(ints) <= 1:
         return roots, None
-    x = Polynomial.variable(name)
-    residual = sum((x ** i).scale(Fraction(c)) for i, c in enumerate(ints) if c)
-    return roots, squarefree_part(residual, name)
+    return roots, squarefree_part(_uni_poly(ints, name), name)
 
 
 @dataclass(frozen=True)
@@ -680,16 +624,10 @@ class ZeroDimensionalSolution:
 
 def _is_zero_dimensional(gb: GroebnerBasis) -> bool:
     # standard criterion: some leading monomial is a pure power of each variable
-    idx = gb.order.index()
-    n = len(gb.order.variables)
-    lead_vecs = [_mono_vec(gb.order.leading_monomial(g), idx, n) for g in gb.polynomials]
-    for pos in range(n):
-        if not any(
-            vec[pos] > 0 and all(vec[q] == 0 for q in range(n) if q != pos)
-            for vec in lead_vecs
-        ):
-            return False
-    return True
+    keyf = gb.order.key()
+    leads = [max(g.exponent_vectors(gb.order.variables), key=keyf) for g in gb.polynomials]
+    return all(any(0 < vec[pos] == sum(vec) for vec in leads)
+               for pos in range(len(gb.order.variables)))
 
 
 def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
@@ -714,11 +652,7 @@ def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
         if any(p == Polynomial.constant(1) for p in polys):
             return []
         last = names[-1]
-        eliminant = None
-        for p in polys:
-            if p.variables() <= {last}:
-                eliminant = p
-                break
+        eliminant = next((p for p in polys if p.variables() <= {last}), None)
         if eliminant is None:
             raise NotZeroDimensionalError(sub_gb)
         roots, residual = rational_roots(eliminant, last)
@@ -729,9 +663,7 @@ def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
             if len(names) == 1:
                 points.append({last: root})
                 continue
-            substituted = [
-                p.substitute({last: Polynomial.constant(root)}) for p in polys
-            ]
+            substituted = [p.substitute({last: Polynomial.constant(root)}) for p in polys]
             substituted = [p for p in substituted if not p.is_zero()]
             for partial in solve_rec(substituted, names[:-1]):
                 partial[last] = root
@@ -739,7 +671,5 @@ def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
         return points
 
     points = solve_rec(list(ideal.generators), tuple(ideal.variables))
-    ordered = tuple(
-        sorted(points, key=lambda pt: tuple(pt[v] for v in ideal.variables))
-    )
+    ordered = tuple(sorted(points, key=lambda pt: tuple(pt[v] for v in ideal.variables)))
     return ZeroDimensionalSolution(points=ordered, residuals=tuple(residuals))

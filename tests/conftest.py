@@ -1,4 +1,5 @@
-"""Shared test fixtures: exact SL2 sampling and residue-tuple generators."""
+"""Shared test fixtures: exact SL2 sampling, residue-tuple generators and the
+Hypothesis profile."""
 
 from __future__ import annotations
 
@@ -7,8 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fricke.charvariety import TracePoint
+
+# every property test draws the same examples on every run, with no example
+# database and no per-example deadline (exact arithmetic has a long tail)
+settings.register_profile("fricke", derandomize=True, database=None, deadline=None)
+settings.load_profile("fricke")
 
 Mat2 = tuple[Fraction, Fraction, Fraction, Fraction]  # row-major exact 2x2
 

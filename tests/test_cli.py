@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from fricke import cli, groebner as gb
 from fricke.exactalg import parse_polynomial
+
+from conftest import random_traceless_matrix
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
 
@@ -247,6 +250,20 @@ class TestMainAndExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["message"] == message
         assert report["inputs"][key] == value
+        validate_schema(report)
+
+    def test_holonomy_lost_precision_report(self, capsys, tmp_path):
+        # strongly non-unitary residues: the transported entries reach about
+        # 2.6e10 and the det, which should be 1, is about 1e-16 of their square,
+        # so it is rounding noise; it used to end in numpy's "Singular matrix"
+        rng = random.Random(169)
+        X = [random_traceless_matrix(rng, 1.5) for _ in range(3)]
+        X.append(-(X[0] + X[1] + X[2]))
+        path = tmp_path / "residues.json"
+        path.write_text(json.dumps({"X": [[[z.real, z.imag] for z in m.flat] for m in X]}))
+        assert run_main(["holonomy", "--residues", str(path), "--t", "0.5", "--tol", "1e-8"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["message"].startswith("monodromy lost all precision to rounding")
         validate_schema(report)
 
     def test_byte_identical_reports(self, capsys):

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from fricke import exactalg
 from fricke.charvariety import ALL_VARS, fricke_cubic
 from fricke.exactalg import (
     EvaluationError,
@@ -35,6 +37,20 @@ def random_polynomial(rng: random.Random, names=("x", "y", "z"), terms=4, deg=3)
         coeff = F(rng.randint(-6, 6), rng.randint(1, 4))
         out = out + Polynomial({mono: coeff})
     return out
+
+
+NAMES = ("x", "y", "z")
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def polynomials(max_terms=4, max_exp=3):
+    monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(0, max_exp)).map(Monomial)
+    return st.lists(st.tuples(monomials, RATIONALS), max_size=max_terms).map(Polynomial)
+
+
+POLYS = polynomials()
+POINTS = st.fixed_dictionaries({n: RATIONALS for n in NAMES})
+IMAGES = st.dictionaries(st.sampled_from(NAMES), polynomials(max_terms=3, max_exp=2))
 
 
 class TestRationals:
@@ -175,6 +191,71 @@ class TestRingOperations:
             assert rebuilt == p
             assert Polynomial(dict(rebuilt.items())) == rebuilt
             assert hash(rebuilt) == hash(p)
+
+
+class TestProperties:
+    """The ring, printing and substitution laws on drawn polynomials in x, y, z."""
+
+    @given(POLYS, POLYS, POLYS)
+    def test_ring_axioms(self, p, q, r):
+        zero, one = Polynomial.zero(), Polynomial.constant(1)
+        assert (p + q) + r == p + (q + r) and p + q == q + p
+        assert (p * q) * r == p * (q * r) and p * q == q * p
+        assert p * (q + r) == p * q + p * r
+        assert p + zero == p and p * one == p and (p - p).is_zero()
+        assert p ** 2 == p * p and p ** 0 == one
+
+    @given(POLYS)
+    def test_print_parse_round_trip(self, p):
+        assert P(str(p)) == p
+
+    @given(POLYS)
+    def test_items_rebuild(self, p):
+        assert Polynomial(p.items()) == p
+        assert p.degree() == max((m.degree() for m, _ in p.items()), default=-1)
+        assert p.variables() == frozenset(n for m, _ in p.items() for n in m.variables())
+
+    @given(POLYS)
+    def test_exponent_vectors_round_trip(self, p):
+        assert Polynomial.from_exponent_vectors(NAMES, p.exponent_vectors(NAMES)) == p
+        with pytest.raises(ValueError, match="not covered"):
+            (p + Polynomial.variable("w")).exponent_vectors(NAMES)
+
+    @given(POLYS, IMAGES, POINTS)
+    def test_substitute_then_evaluate(self, p, images, point):
+        # variables without an image keep their own value
+        values = {n: images[n].evaluate(point) if n in images else point[n] for n in NAMES}
+        assert p.substitute(images).evaluate(point) == p.evaluate(values)
+
+
+class TestExponentOverflow:
+    """Exponents past MAX_EXPONENT raise; they never wrap into a neighbour."""
+
+    def test_power_raises(self):
+        with pytest.raises(OverflowError, match="'x'"):
+            Polynomial.variable("x") ** 40000
+
+    def test_product_raises(self):
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        half = x ** 20000 * y
+        with pytest.raises(OverflowError, match="'x'"):
+            half * half
+
+    def test_substitution_raises(self):
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        with pytest.raises(OverflowError, match="'y'"):
+            (x * y ** 20000).substitute({"x": y ** 20000})
+
+    def test_monomial_raises(self):
+        with pytest.raises(OverflowError, match="'x'"):
+            Polynomial({Monomial.of("x", exactalg.MAX_EXPONENT + 1): 1})
+
+    def test_largest_exponent_kept(self):
+        top, x, y = exactalg.MAX_EXPONENT, Polynomial.variable("x"), Polynomial.variable("y")
+        assert top == 32767
+        product = (x ** 16384 * y) * (x ** (top - 16384) * y)
+        assert product == Polynomial({Monomial({"x": top, "y": 2}): 1})
+        assert (x ** top).degree() == top
 
 
 class TestSubstitution:
