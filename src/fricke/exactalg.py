@@ -87,22 +87,12 @@ class Monomial:
         self._hash = hash(self._pairs)
 
     @staticmethod
-    def one() -> "Monomial":
-        return Monomial()
-
-    @staticmethod
     def of(name: str, exp: int = 1) -> "Monomial":
         return Monomial(((name, exp),))
 
     @property
     def pairs(self) -> tuple[tuple[str, int], ...]:
         return self._pairs
-
-    def exponent(self, name: str) -> int:
-        for n, e in self._pairs:
-            if n == name:
-                return e
-        return 0
 
     def degree(self) -> int:
         return sum(e for _, e in self._pairs)
@@ -385,19 +375,13 @@ class Polynomial:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
-    def _display_terms(self) -> list[tuple[tuple[tuple[str, int], ...], Fraction]]:
-        terms = [(_pairs(k), c) for k, c in self._terms.items()]
-        return sorted(terms, key=lambda t: (-sum(e for _, e in t[0]), tuple((n, -e) for n, e in t[0])))
-
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in the canonical display order (graded, then lexicographic)."""
-        return [(Monomial(pairs), c) for pairs, c in self._display_terms()]
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for pairs, coeff in self._display_terms():  # no Monomial is built to print
+        terms = sorted(((_pairs(k), c) for k, c in self._terms.items()),  # graded, then lex
+                       key=lambda t: (-sum(e for _, e in t[0]), tuple((n, -e) for n, e in t[0])))
+        for pairs, coeff in terms:  # no Monomial is built to print
             if not pairs:
                 body = format_rational(abs(coeff))
             elif abs(coeff) == 1:

@@ -1,14 +1,13 @@
 """Multivariate division, Buchberger's algorithm, and zero-dimensional solving.
 
-Polynomials enter and leave as :class:`fricke.exactalg.Polynomial`; internally
-they are read from its packed monomials straight into exponent-vector form
-relative to a monomial order's variable list, which keeps the reduction loop
-tight.  All reduction (S-pairs, inter-reduction, ``reduce`` and the
-``verify_groebner`` re-check) runs through one fraction-free kernel on
-primitive integer polynomials; rational remainders are recovered by dividing
-by the scale it tracks.  Buchberger takes S-pairs off a heap in
-normal-strategy order; one Gebauer–Möller pair update prunes the pairs both
-it and ``verify_groebner`` reduce.
+Polynomials enter and leave as :class:`fricke.exactalg.Polynomial`; inside,
+a monomial is one int packed in a layout derived from the monomial order
+(:class:`_Layout`), whose integer order is the monomial order.  All reduction
+(S-pairs, inter-reduction, ``reduce`` and the ``verify_groebner`` re-check)
+runs through one fraction-free kernel on primitive integer polynomials;
+rational remainders are recovered by dividing by the scale it tracks.
+Buchberger takes S-pairs off a heap in normal-strategy order; one
+Gebauer–Möller pair update prunes the pairs both it and ``verify_groebner`` reduce.
 
 Monomial orders: lexicographic, graded reverse lexicographic, and the
 block (elimination) product of two grevlex orders.  Gröbner bases are always
@@ -16,7 +15,8 @@ returned reduced (monic, auto-reduced, deterministically sorted), so for a
 fixed order the output is the unique reduced basis of the ideal.
 
 Resource discipline: the pair queue and intermediate degrees are capped;
-exceeding a cap raises :class:`ResourceCapError` rather than truncating.
+exceeding a cap raises :class:`ResourceCapError` rather than truncating,
+and an exponent past ``MAX_EXPONENT`` raises :class:`OverflowError`.
 """
 
 from __future__ import annotations
@@ -24,24 +24,22 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .exactalg import Monomial, Polynomial
+from .exactalg import MAX_EXPONENT, Monomial, Polynomial
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_DEGREE = 30
 
-_Vec = tuple[int, ...]
-_VecPoly = dict[_Vec, Fraction]
-_IntPoly = dict[_Vec, int]
-_Entry = tuple[_Vec, int, _IntPoly]  # leading monomial, coefficient, polynomial
+_IntPoly = dict[int, int]  # packed monomial -> integer coefficient
+_Entry = tuple[int, int, _IntPoly]  # leading monomial, coefficient, polynomial
 _Pair = tuple[int, int]  # positions i < j of two basis elements
 
-# pseudo-division steps between content strips in _normal_form
-_CONTENT_EVERY = 16
+_CONTENT_EVERY = 16  # pseudo-division steps between content strips in _normal_form
+_FIELD = MAX_EXPONENT.bit_length() + 1  # bits of a variable's field, guard bit included
 
 
 class GroebnerError(RuntimeError):
@@ -53,10 +51,7 @@ class ResourceCapError(GroebnerError):
 
 
 class NotZeroDimensionalError(GroebnerError):
-    """Raised by the solver when the ideal has positive dimension.
-
-    Carries the offending Gröbner basis so callers can report it.
-    """
+    """Raised by the solver for a positive-dimensional ideal; carries its basis to report."""
 
     def __init__(self, basis: "GroebnerBasis"):
         super().__init__("ideal is not zero-dimensional")
@@ -94,30 +89,80 @@ class MonomialOrder:
 
     @staticmethod
     def elimination(drop: Iterable[str], keep: Iterable[str]) -> "MonomialOrder":
-        drop = tuple(drop)
-        keep = tuple(keep)
+        drop, keep = tuple(drop), tuple(keep)
         return MonomialOrder("block", drop + keep, block_size=len(drop))
 
-    def key(self) -> Callable[[_Vec], tuple[int, ...]]:
-        """Sort key on exponent vectors (flat integer tuple); larger = larger monomial."""
-        n = len(self.variables)
-        if self.kind == "lex":
-            return lambda v: v
-        if self.kind == "grevlex":
-            return lambda v: (sum(v), *(-v[i] for i in range(n - 1, -1, -1)))
-        k = self.block_size
-        return lambda v: (
-            sum(v[:k]),
-            *(-v[i] for i in range(k - 1, -1, -1)),
-            sum(v[k:]),
-            *(-v[i] for i in range(n - 1, k - 1, -1)),
-        )
+    @cached_property
+    def _layout(self) -> "_Layout":
+        return _Layout(self)
 
     def leading_monomial(self, poly: Polynomial) -> Monomial:
         if poly.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
-        lead = max(poly.exponent_vectors(self.variables), key=self.key())
-        return Monomial(zip(self.variables, lead))
+        lead = max(self._layout.pack(poly), key=self._layout.flip.__xor__)
+        return Monomial(zip(self.variables, self._layout.decode(lead)))
+
+
+class _Layout:
+    """One order's monomials as ints ``m`` whose ``m ^ flip`` ranks like the order.
+
+    Fields from the top bit down: lex has the variables in order, then the
+    degree; grevlex the degree, then the variables in reverse, which ``flip``
+    inverts; block the grevlex fields of each block, front block on top.
+    Each field is topped by a guard bit no monomial sets, so a product (an
+    add) overflows exactly when it sets one, and ``a`` divides ``b`` exactly
+    when ``b - a`` sets none (Bachmann & Schönemann, ISSAC 1998).
+    """
+
+    def __init__(self, order: MonomialOrder):
+        n, k = len(order.variables), order.block_size
+        fields: list[int | range] = []  # top first: a variable, or a block's degree
+        for block in (range(k), range(k, n)) if order.kind == "block" else (range(n),):
+            fields += [*block, block] if order.kind == "lex" else [block, *reversed(block)]
+        self.names, self.shifts, self.degrees, self.guard, at = order.variables, [0] * n, [], 0, 0
+        for f in reversed(fields):
+            if isinstance(f, range):
+                self.degrees.append((at, f))
+            else:
+                self.shifts[f] = at
+            at += (len(f) * MAX_EXPONENT).bit_length() + 1 if isinstance(f, range) else _FIELD
+            self.guard |= 1 << (at - 1)
+        self.fill = sum(MAX_EXPONENT << s for s in self.shifts)
+        self.flip = 0 if order.kind == "lex" else self.fill
+
+    def encode(self, vec: Sequence[int]) -> int:  # exponents up to MAX_EXPONENT
+        return self._graded(sum(e << s for e, s in zip(vec, self.shifts)))
+
+    def _graded(self, m: int) -> int:
+        # m with its degree fields, which are 0, filled in from its variable fields
+        return m + sum(sum(m >> self.shifts[i] & MAX_EXPONENT for i in block) << at
+                       for at, block in self.degrees)
+
+    def decode(self, m: int) -> tuple[int, ...]:
+        return tuple(m >> s & MAX_EXPONENT for s in self.shifts)
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (b - a) & self.guard
+
+    def coprime(self, a: int, b: int) -> bool:
+        # adding MAX_EXPONENT sets the guard bit of every nonzero variable field
+        return not (a + self.fill) & (b + self.fill) & self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        a, b, g = a & self.fill, b & self.fill, self.guard & self.fill << 1
+        ge = ((a | g) - b) & g  # the guard bits of the variable fields where a >= b
+        mask = ge - (ge >> (_FIELD - 1))
+        return self._graded(a & mask | b & ~mask)
+
+    def overflow(self, m: int):
+        name = next(n for n, s in zip(self.names, self.shifts) if m >> (s + _FIELD - 1) & 1)
+        raise OverflowError(f"exponent of {name!r} exceeds {MAX_EXPONENT}")
+
+    def pack(self, poly: Polynomial) -> dict[int, Fraction]:
+        return {self.encode(v): c for v, c in poly.exponent_vectors(self.names).items()}
+
+    def unpack(self, terms: dict) -> Polynomial:
+        return Polynomial.from_exponent_vectors(self.names, {self.decode(m): c for m, c in terms.items()})
 
 
 @dataclass(frozen=True)
@@ -155,103 +200,92 @@ class GroebnerBasis:
     order: MonomialOrder
 
     def contains(self, poly: Polynomial) -> bool:
-        return reduce(poly, self.polynomials, self.order).is_zero()
+        return self._remainder(poly).is_zero()
 
     def as_ideal(self) -> Ideal:
         return Ideal(self.polynomials, self.order.variables)
 
+    @cached_property
+    def _entries(self) -> list[_Entry]:
+        """The polynomials as kernel reducers, built once per object."""
+        layout = self.order._layout
+        return [_entry(layout.pack(g), layout.flip) for g in self.polynomials if not g.is_zero()]
 
-# -- exponent-vector helpers -------------------------------------------------
-
-def _vec_divides(a: _Vec, b: _Vec) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _vec_sub(a: _Vec, b: _Vec) -> _Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_lcm(a: _Vec, b: _Vec) -> _Vec:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _vec_is_coprime(a: _Vec, b: _Vec) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    def _remainder(self, poly: Polynomial) -> Polynomial:
+        layout = self.order._layout
+        work, mult = _primitive(layout.pack(poly), layout.flip)
+        remainder, scale = _normal_form(work, self._entries, layout)
+        scale *= mult
+        return layout.unpack({m: c / scale for m, c in remainder.items()})
 
 
-def _primitive(vp: dict, keyf) -> tuple[_IntPoly, Fraction]:
-    """``(s * vp, s)`` for the rational ``s`` that makes ``vp`` integer, of
-    content 1 and with a positive leading coefficient.
+# -- the kernel ---------------------------------------------------------------
 
-    Coefficients may be ``int`` or ``Fraction``.
-    """
+def _primitive(vp: dict, flip: int) -> tuple[_IntPoly, Fraction]:
+    """``(s * vp, s)`` for the rational ``s`` that makes ``vp`` (``int`` or
+    ``Fraction`` coefficients) integer, of content 1 and with a positive
+    leading coefficient."""
     if not vp:
         return {}, Fraction(1)
     den = lcm(*(c.denominator for c in vp.values()))
-    ints = {v: c.numerator * (den // c.denominator) for v, c in vp.items()}
+    ints = {m: c.numerator * (den // c.denominator) for m, c in vp.items()}
     num = gcd(*ints.values())
-    if ints[max(ints, key=keyf)] < 0:
+    if ints[max(ints, key=flip.__xor__)] < 0:
         num = -num
-    return {v: c // num for v, c in ints.items()}, Fraction(den, num)
+    return {m: c // num for m, c in ints.items()}, Fraction(den, num)
 
 
-def _entry(vp: dict, keyf) -> _Entry:
+def _entry(vp: dict, flip: int) -> _Entry:
     """Primitive integer form of a nonzero ``vp`` as a reducer (lm, lc, poly)."""
-    poly, _ = _primitive(vp, keyf)
-    lm = max(poly, key=keyf)
+    poly, _ = _primitive(vp, flip)
+    lm = max(poly, key=flip.__xor__)
     return lm, poly[lm], poly
 
 
-def _s_poly(a: _Entry, b: _Entry) -> _IntPoly:
+def _s_poly(a: _Entry, b: _Entry, layout: _Layout) -> _IntPoly:
     """Integer S-polynomial ``(lc_b/g)*x^(L-lm_a)*f_a - (lc_a/g)*x^(L-lm_b)*f_b``
     with ``L = lcm(lm_a, lm_b)`` and ``g = gcd(lc_a, lc_b)``."""
     (lm_a, lc_a, f_a), (lm_b, lc_b, f_b) = a, b
-    lcm_ab = _vec_lcm(lm_a, lm_b)
-    g = gcd(lc_a, lc_b)
+    lcm_ab, g = layout.lcm(lm_a, lm_b), gcd(lc_a, lc_b)
     out: _IntPoly = {}
     for mult, lm, poly in ((lc_b // g, lm_a, f_a), (-(lc_a // g), lm_b, f_b)):
-        shift = _vec_sub(lcm_ab, lm)
-        for vec, c in poly.items():
-            key = tuple(x + y for x, y in zip(vec, shift))
-            total = out.get(key, 0) + mult * c
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return out
+        shift = lcm_ab - lm
+        for m, c in poly.items():
+            out[m + shift] = out.get(m + shift, 0) + mult * c
+    for m in out:
+        if m & layout.guard:
+            layout.overflow(m)
+    return {m: c for m, c in out.items() if c}
 
 
-def _normal_form(work: _IntPoly, entries: Sequence[_Entry], keyf) -> tuple[_IntPoly, Fraction]:
+def _normal_form(work: _IntPoly, entries: Sequence[_Entry], layout: _Layout) -> tuple[_IntPoly, Fraction]:
     """Fraction-free full normal form of ``work`` against ``entries`` (lm, lc, poly).
 
     Each step cancels the leading term by the pseudo-division
-    ``work := (lc/g)*work - (coeff/g)*x^shift*poly`` with ``g = gcd(coeff, lc)``,
-    so all arithmetic stays in the integers.  The remainder terms already
-    split off are scaled along with ``work``, and content is stripped from
-    both every ``_CONTENT_EVERY`` steps.  Returns ``(remainder, scale)``, where
-    ``remainder / scale`` is exactly the remainder of rational division.
-    Scaling never changes supports, so the leading terms and divisor choices
-    are those of rational division.
-
-    The current maximum of the work polynomial is tracked with a lazy
-    max-heap: monomials are pushed once, stale entries are skipped on pop.
-    A monomial popped as the leading term can never re-enter the work
-    polynomial (all later contributions are strictly smaller), so each heap
-    entry is processed at most once.
+    ``work := (lc/g)*work - (coeff/g)*x^shift*poly`` with ``g = gcd(coeff, lc)``;
+    the remainder split off so far is scaled with ``work``, and content is
+    stripped from both every ``_CONTENT_EVERY`` steps.  Returns
+    ``(remainder, scale)``, where ``remainder / scale`` is exactly the remainder
+    of rational division: scaling never changes supports, so the leading
+    terms and divisor choices are the same.  The leading term comes off a
+    lazy max-heap of plain ints ``-(m ^ flip)`` (Monagan & Pearce, JSC 2011);
+    a popped monomial never re-enters ``work``, and stale entries are skipped.
     """
+    guard, flip = layout.guard, layout.flip
+    push, pop = heapq.heappush, heapq.heappop
     work = dict(work)
     remainder: _IntPoly = {}
     scale = Fraction(1)
     steps = 0
-    heap = [(tuple(-x for x in keyf(vec)), vec) for vec in work]
+    heap = [-(m ^ flip) for m in work]
     heapq.heapify(heap)
     while heap:
-        _, lead = heapq.heappop(heap)
+        lead = -pop(heap) ^ flip
         coeff = work.get(lead)
         if coeff is None:
             continue
         for lm, lc, poly in entries:
-            if _vec_divides(lm, lead):
+            if not (lead - lm) & guard:  # lm divides lead: _Layout.divides
                 break
         else:
             remainder[lead] = coeff
@@ -265,14 +299,16 @@ def _normal_form(work: _IntPoly, entries: Sequence[_Entry], keyf) -> tuple[_IntP
             for key in remainder:
                 remainder[key] *= mult
             scale *= mult
-        shift = _vec_sub(lead, lm)
-        for vec, c in poly.items():
-            key = tuple(x + y for x, y in zip(vec, shift))
+        shift = lead - lm
+        for m, c in poly.items():
+            key = m + shift
             acc = work.get(key)
             total = -factor * c if acc is None else acc - factor * c
             if total:
                 if acc is None:
-                    heapq.heappush(heap, (tuple(-x for x in keyf(key)), key))
+                    if key & guard:
+                        layout.overflow(key)
+                    push(heap, -(key ^ flip))
                 work[key] = total
             elif acc is not None:
                 del work[key]
@@ -294,16 +330,11 @@ def reduce(poly: Polynomial, basis: Iterable[Polynomial], order: MonomialOrder) 
     No term of the result is divisible by any leading monomial of the basis,
     and the difference ``poly - result`` lies in the ideal the basis generates.
     """
-    keyf = order.key()
-    entries = [_entry(g.exponent_vectors(order.variables), keyf) for g in basis if not g.is_zero()]
-    work, mult = _primitive(poly.exponent_vectors(order.variables), keyf)
-    remainder, scale = _normal_form(work, entries, keyf)
-    scale *= mult
-    quotient = {v: c / scale for v, c in remainder.items()}
-    return Polynomial.from_exponent_vectors(order.variables, quotient)
+    return GroebnerBasis(tuple(basis), order)._remainder(poly)
 
 
-def _update_pairs(lms: Sequence[_Vec], live: set[_Pair], k: int) -> tuple[set[_Pair], list[int]]:
+def _update_pairs(lms: Sequence[int], live: set[_Pair], k: int,
+                  layout: _Layout) -> tuple[set[_Pair], list[int]]:
     """Gebauer–Möller update of the pending pairs ``live`` (all ``i < j < k``)
     for the new leading monomial ``lms[k]``.  Returns the pairs kept, new ones
     included, and the partners ``i`` of the new pairs ``(i, k)`` kept.
@@ -318,18 +349,18 @@ def _update_pairs(lms: Sequence[_Vec], live: set[_Pair], k: int) -> tuple[set[_P
     strictly smaller lcms (Gebauer & Möller, JSC 6, 1988; Becker & Weispfenning, §5.5).
     """
     h = lms[k]
-    lcms = [_vec_lcm(m, h) for m in lms[:k]]
+    divides, coprime = layout.divides, layout.coprime
+    lcms = [layout.lcm(m, h) for m in lms[:k]]
     kept: list[int] = []
     for i in range(k):
-        if _vec_is_coprime(lms[i], h) or not any(
-            _vec_divides(lcms[j], lcms[i]) for j in chain(range(i + 1, k), kept)
-        ):
+        if coprime(lms[i], h) or not any(divides(lcms[j], lcms[i])
+                                         for j in chain(range(i + 1, k), kept)):
             kept.append(i)
-    partners = [i for i in kept if not _vec_is_coprime(lms[i], h)]
+    partners = [i for i in kept if not coprime(lms[i], h)]
     pairs = {(i, k) for i in partners}
     for i, j in live:
-        lcm_ij = _vec_lcm(lms[i], lms[j])
-        if not _vec_divides(h, lcm_ij) or lcm_ij in (lcms[i], lcms[j]):
+        lcm_ij = layout.lcm(lms[i], lms[j])
+        if not divides(h, lcm_ij) or lcm_ij in (lcms[i], lcms[j]):
             pairs.add((i, j))
     return pairs, partners
 
@@ -344,7 +375,7 @@ def buchberger(
     """Reduced Gröbner basis of ``ideal`` under ``order`` (default grevlex).
 
     Pair selection is the normal strategy (minimal lcm degree, ties broken by
-    the order key): each pair is queued once on a heap under that key.
+    the order): each pair is queued once on a heap under that key.
     Useless pairs are dropped by the Gebauer–Möller update (``_update_pairs``).
     ``max_pairs`` bounds the pairs formed, n(n-1)/2 for n elements, before
     any is dropped; ``max_degree`` bounds the inputs, every new element and
@@ -352,11 +383,11 @@ def buchberger(
     """
     if order is None:
         order = ideal.default_order()
-    keyf = order.key()
+    layout = order._layout
 
     basis: list[_Entry] = []
     live: set[_Pair] = set()
-    heap: list[tuple[int, tuple[int, ...], _Pair]] = []
+    heap: list[tuple[int, int, _Pair]] = []
 
     def add(entry: _Entry) -> None:
         nonlocal live
@@ -364,17 +395,15 @@ def buchberger(
         if k * (k + 1) // 2 > max_pairs:
             raise ResourceCapError(f"S-pair budget of {max_pairs} exceeded")
         basis.append(entry)
-        live, partners = _update_pairs([e[0] for e in basis], live, k)
+        live, partners = _update_pairs([e[0] for e in basis], live, k, layout)
         for i in partners:
-            lcm_ik = _vec_lcm(basis[i][0], entry[0])
-            heapq.heappush(heap, (sum(lcm_ik), keyf(lcm_ik), (i, k)))
+            lcm_ik = layout.lcm(basis[i][0], entry[0])
+            heapq.heappush(heap, (sum(layout.decode(lcm_ik)), lcm_ik ^ layout.flip, (i, k)))
 
     for g in ideal.generators:
         if g.degree() > max_degree:
-            raise ResourceCapError(
-                f"generator degree {g.degree()} exceeds the cap of {max_degree}"
-            )
-        add(_entry(g.exponent_vectors(order.variables), keyf))
+            raise ResourceCapError(f"generator degree {g.degree()} exceeds the cap of {max_degree}")
+        add(_entry(layout.pack(g), layout.flip))
     while heap:
         degree, _, (i, j) = heapq.heappop(heap)
         if (i, j) not in live:  # dropped by criterion B since it was queued
@@ -383,38 +412,33 @@ def buchberger(
         if degree > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
 
-        remainder, _ = _normal_form(_s_poly(basis[i], basis[j]), basis, keyf)
+        remainder, _ = _normal_form(_s_poly(basis[i], basis[j], layout), basis, layout)
         if not remainder:
             continue
-        entry = _entry(remainder, keyf)
-        if sum(entry[0]) > max_degree:
+        entry = _entry(remainder, layout.flip)
+        if sum(layout.decode(entry[0])) > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
         add(entry)
 
-    reduced = _inter_reduce(basis, keyf)
-    polys = tuple(
-        Polynomial.from_exponent_vectors(order.variables, vp)
-        for vp in sorted(reduced, key=lambda vp: keyf(max(vp, key=keyf)))
-    )
-    return GroebnerBasis(polys, order)
+    return GroebnerBasis(tuple(map(layout.unpack, _inter_reduce(basis, layout))), order)
 
 
-def _inter_reduce(entries: list[_Entry], keyf) -> list[_VecPoly]:
-    """Turn a Gröbner basis into the unique reduced one, made monic.
+def _inter_reduce(entries: list[_Entry], layout: _Layout) -> list[dict[int, Fraction]]:
+    """Turn a Gröbner basis into the unique reduced one, monic and sorted.
 
     First minimalize (drop elements whose leading monomial is divisible by
     another's), then tail-reduce each survivor against the rest; tail
     reduction never changes leading monomials, so one pass suffices.
     """
     minimal: list[_Entry] = []
-    for entry in sorted(entries, key=lambda e: keyf(e[0])):
-        if not any(_vec_divides(m[0], entry[0]) for m in minimal):
+    for entry in sorted(entries, key=lambda e: e[0] ^ layout.flip):
+        if not any(layout.divides(m[0], entry[0]) for m in minimal):
             minimal.append(entry)
     out = []
     for pos, (lm, _, poly) in enumerate(minimal):
-        nf, _ = _normal_form(poly, minimal[:pos] + minimal[pos + 1:], keyf)
+        nf, _ = _normal_form(poly, minimal[:pos] + minimal[pos + 1:], layout)
         lc = nf[lm]
-        out.append({v: Fraction(c, lc) for v, c in nf.items()})
+        out.append({m: Fraction(c, lc) for m, c in nf.items()})
     return out
 
 
@@ -422,19 +446,17 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     """Direct re-check: the S-polynomial of every pair that survives the
     Gebauer–Möller update, run over ``gb.polynomials`` in order, reduces to zero.
 
-    Buchberger's criterion: G is a Gröbner basis when the S-polynomial of
-    each pair in a set whose leading-term syzygies generate all of them has a
-    standard representation over G, as one that reduces to zero does.  The
-    surviving pairs with the coprime pairs are such a set, and a coprime pair
-    always has one (the product criterion).
+    By Buchberger's criterion that suffices: the surviving and the coprime
+    pairs have leading-term syzygies that generate all others, and a coprime
+    pair's S-polynomial always has a standard representation.
     """
-    keyf = gb.order.key()
-    entries = [_entry(g.exponent_vectors(gb.order.variables), keyf) for g in gb.polynomials]
+    layout, entries = gb.order._layout, gb._entries
+    lms = [e[0] for e in entries]
     live: set[_Pair] = set()
     for k in range(len(entries)):
-        live, _ = _update_pairs([e[0] for e in entries], live, k)
+        live, _ = _update_pairs(lms, live, k, layout)
     return not any(
-        _normal_form(_s_poly(entries[i], entries[j]), entries, keyf)[0]
+        _normal_form(_s_poly(entries[i], entries[j], layout), entries, layout)[0]
         for i, j in sorted(live)
     )
 
@@ -452,8 +474,7 @@ def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None) -> Groebner
 
 
 def ideal_member(poly: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
-    gb = groebner_basis(ideal, order)
-    return gb.contains(poly)
+    return groebner_basis(ideal, order).contains(poly)
 
 
 def ideal_equal(left: Ideal, right: Ideal, order: MonomialOrder | None = None) -> bool:
@@ -622,14 +643,6 @@ class ZeroDimensionalSolution:
         return not self.residuals
 
 
-def _is_zero_dimensional(gb: GroebnerBasis) -> bool:
-    # standard criterion: some leading monomial is a pure power of each variable
-    keyf = gb.order.key()
-    leads = [max(g.exponent_vectors(gb.order.variables), key=keyf) for g in gb.polynomials]
-    return all(any(0 < vec[pos] == sum(vec) for vec in leads)
-               for pos in range(len(gb.order.variables)))
-
-
 def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
     """Solve by lex triangularization, rational-root extraction, back-substitution.
 
@@ -640,7 +653,9 @@ def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
     gb = groebner_basis(ideal)
     if any(g == Polynomial.constant(1) for g in gb.polynomials):
         return ZeroDimensionalSolution(points=())
-    if not _is_zero_dimensional(gb):
+    leads = [gb.order._layout.decode(lm) for lm, _, _ in gb._entries]
+    # finite exactly when some leading monomial is a pure power of each variable
+    if not all(any(0 < vec[pos] == sum(vec) for vec in leads) for pos in range(len(ideal.variables))):
         raise NotZeroDimensionalError(gb)
 
     residuals: list[Polynomial] = []

@@ -4,10 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fricke import groebner as gb
 from fricke.charvariety import ALL_VARS
-from fricke.exactalg import Polynomial, parse_polynomial
+from fricke.exactalg import MAX_EXPONENT, Monomial, Polynomial, parse_polynomial
 
 P = parse_polynomial
 
@@ -26,8 +27,6 @@ def reference_ideal() -> gb.Ideal:
 
 
 def random_poly(rng: random.Random, names, terms=3, deg=2) -> Polynomial:
-    from fricke.exactalg import Monomial
-
     out = Polynomial.zero()
     for _ in range(rng.randint(1, terms)):
         mono = Monomial({n: rng.randint(0, deg) for n in names if rng.random() < 0.7})
@@ -50,6 +49,125 @@ def all_pairs_verdict(basis: gb.GroebnerBasis) -> bool:
             if not gb.reduce(lifted(i, lcm) - lifted(j, lcm), polys, order).is_zero():
                 return False
     return True
+
+
+def tuple_key(order: gb.MonomialOrder):
+    """The order as a sort key on exponent tuples; larger key = larger monomial."""
+    n, k = len(order.variables), order.block_size
+
+    def revlex(vec, lo, hi):  # degree first, then the smaller last exponent wins
+        return (sum(vec[lo:hi]), *(-vec[i] for i in reversed(range(lo, hi))))
+
+    if order.kind == "lex":
+        return tuple
+    if order.kind == "grevlex":
+        return lambda vec: revlex(vec, 0, n)
+    return lambda vec: revlex(vec, 0, k) + revlex(vec, k, n)
+
+
+def textbook_reduce(f: Polynomial, divisors, order: gb.MonomialOrder) -> Polynomial:
+    """Multivariate division over ``Fraction``s on exponent tuples: cancel the
+    leading term by the first divisor whose leading monomial divides it, or
+    move it to the remainder (Cox, Little & O'Shea, ch. 2, §3)."""
+    names, key = order.variables, tuple_key(order)
+    work = f.exponent_vectors(names)
+    gs = [g.exponent_vectors(names) for g in divisors if not g.is_zero()]
+    leads = [max(g, key=key) for g in gs]
+    remainder = {}
+    while work:
+        lead = max(work, key=key)
+        for g, lm in zip(gs, leads):
+            if all(x <= y for x, y in zip(lm, lead)):
+                factor = work[lead] / g[lm]
+                shift = tuple(y - x for x, y in zip(lm, lead))
+                for vec, c in g.items():
+                    vec = tuple(x + y for x, y in zip(vec, shift))
+                    work[vec] = work.get(vec, 0) - factor * c
+                    if not work[vec]:
+                        del work[vec]
+                break
+        else:
+            remainder[lead] = work.pop(lead)
+    return Polynomial.from_exponent_vectors(names, remainder)
+
+
+@st.composite
+def layout_cases(draw):
+    """An order over 1-7 variables and two exponent vectors, small or up to the cap."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("lex", "grevlex", "block") if n > 1 else ("lex", "grevlex")))
+    block = draw(st.integers(1, n - 1)) if kind == "block" else 0
+    order = gb.MonomialOrder(kind, tuple(f"x{i}" for i in range(n)), block)
+    exponent = st.integers(0, 3) | st.integers(0, MAX_EXPONENT)
+    vec = st.tuples(*[exponent] * n)
+    return order, draw(vec), draw(vec)
+
+
+class TestPackedLayout:
+    @given(layout_cases())
+    def test_operations_match_exponent_tuples(self, case):
+        order, a, b = case
+        layout, key = order._layout, tuple_key(order)
+        pa, pb = layout.encode(a), layout.encode(b)
+        assert layout.decode(pa) == a and layout.decode(pb) == b
+        assert ((pa ^ layout.flip) > (pb ^ layout.flip)) == (key(a) > key(b))
+        assert (pa == pb) == (a == b)
+        assert layout.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+        assert layout.lcm(pa, pb) == layout.encode(tuple(map(max, a, b)))
+        assert layout.coprime(pa, pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+
+    @pytest.mark.parametrize("order", [
+        gb.MonomialOrder.lex(("y", "x")),
+        gb.MonomialOrder.grevlex(("x", "y", "z")),
+        gb.MonomialOrder.elimination(("z", "x"), ("w", "y")),
+    ], ids=["lex", "grevlex", "block"])
+    def test_reduce_matches_textbook_division(self, order):
+        rng = random.Random(1337)
+        names = order.variables
+        for _ in range(40):
+            divisors = [random_poly(rng, names, terms=3, deg=2) for _ in range(rng.randint(1, 3))]
+            divisors = [d for d in divisors if not d.is_constant()]
+            f = random_poly(rng, names, terms=5, deg=3)
+            assert gb.reduce(f, divisors, order) == textbook_reduce(f, divisors, order), (
+                str(f), [str(d) for d in divisors])
+
+    def test_reducers_built_once_per_basis(self, monkeypatch):
+        computed = gb.groebner_basis(reference_ideal())
+        basis = gb.GroebnerBasis(computed.polynomials, computed.order)
+        built = []
+        entry = gb._entry
+        monkeypatch.setattr(gb, "_entry", lambda vp, flip: built.append(1) or entry(vp, flip))
+        assert gb.verify_groebner(basis)
+        assert basis.contains(P("a2 - a3", ALL_VARS)) and not basis.contains(P("v1", ALL_VARS))
+        assert len(built) == len(basis.polynomials)
+
+    @pytest.mark.parametrize("kind", ["lex", "grevlex", "block"])
+    def test_largest_exponents_encode(self, kind):
+        # 32767 in all seven variables: the degree field holds 7 * 32767
+        order = gb.MonomialOrder(kind, ALL_VARS, 3 if kind == "block" else 0)
+        top = Polynomial.from_exponent_vectors(ALL_VARS, {(MAX_EXPONENT,) * 7: 1, (0,) * 7: -1})
+        assert order.leading_monomial(top) == Monomial({v: MAX_EXPONENT for v in ALL_VARS})
+        assert gb.reduce(top, [], order) == top
+        assert gb.reduce(top, [top], order).is_zero()
+        divisor = P("v1^32767 - 1", ALL_VARS)
+        assert gb.reduce(top, [divisor], order) == textbook_reduce(top, [divisor], order)
+
+    def test_variable_outside_the_order_rejected(self):
+        order = gb.MonomialOrder.grevlex(("x", "y"))
+        for poly, basis in (("x*z", ["x"]), ("x", ["x - z"])):
+            with pytest.raises(ValueError, match="'z' not covered"):
+                gb.reduce(P(poly), [P(b) for b in basis], order)
+
+    def test_division_product_past_the_field_raises(self):
+        # x^32767*y by y - x: the quotient term x^32767 times -x is x^32768
+        with pytest.raises(OverflowError, match="'x'"):
+            gb.reduce(P("x^32767*y"), [P("y - x")], gb.MonomialOrder.lex(("y", "x")))
+
+    def test_s_polynomial_product_past_the_field_raises(self):
+        # S(y^2 + x^32767, x*y + 1) = x*(y^2 + x^32767) - y*(x*y + 1)
+        ideal = gb.Ideal.of([P("y^2 + x^32767"), P("x*y + 1")], ("y", "x"))
+        with pytest.raises(OverflowError, match="'x'"):
+            gb.buchberger(ideal, gb.MonomialOrder.lex(("y", "x")), max_degree=10**6)
 
 
 class TestReduce:
@@ -178,7 +296,7 @@ class TestBuchberger:
         assert len(basis.polynomials) == 36
         reduced = []
         s_poly = gb._s_poly
-        monkeypatch.setattr(gb, "_s_poly", lambda a, b: reduced.append(1) or s_poly(a, b))
+        monkeypatch.setattr(gb, "_s_poly", lambda a, b, layout: reduced.append(1) or s_poly(a, b, layout))
         assert gb.verify_groebner(basis) is True
         assert len(reduced) == 125
 
@@ -200,7 +318,9 @@ class TestBuchberger:
         ids=["equal-lcm-first", "equal-lcm-second", "coprime-last", "control"],
     )
     def test_update_pairs_on_hand_built_monomials(self, lms, live, expected):
-        assert gb._update_pairs(list(lms), set(live), len(lms) - 1) == expected
+        layout = gb.MonomialOrder.lex(("x", "y"))._layout
+        packed = [layout.encode(m) for m in lms]
+        assert gb._update_pairs(packed, set(live), len(lms) - 1, layout) == expected
 
     def test_generators_are_members(self):
         ideal = gb.Ideal.of([P("x^2 + y"), P("y^3 - x")], ("x", "y"))
