@@ -97,10 +97,21 @@ class TracePoint:
 
     @staticmethod
     def from_json(data: dict) -> "TracePoint":
-        return TracePoint(
-            tuple(parse_rational(str(x)) for x in data["a"]),
-            tuple(parse_rational(str(x)) for x in data["v"]),
-        )
+        """Inverse of :meth:`to_json`: an object whose ``a`` and ``v`` are
+        arrays of rational literals (or integers)."""
+        if not isinstance(data, dict):
+            raise ValueError("a trace point must be a JSON object with arrays 'a' and 'v'")
+        coords = []
+        for key in ("a", "v"):
+            if key not in data:
+                raise ValueError(f"trace point has no key {key!r}")
+            if not isinstance(data[key], list):
+                raise ValueError(f"trace point key {key!r} must be an array")
+            try:
+                coords.append(tuple(parse_rational(str(x)) for x in data[key]))
+            except ValueError as err:
+                raise ValueError(f"bad entry in trace point key {key!r}: {err}") from err
+        return TracePoint(*coords)
 
 
 def on_variety(point: TracePoint) -> bool:

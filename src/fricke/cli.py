@@ -4,16 +4,18 @@ Subcommands: classify, orbit, fixed-ideal, fixed-points, holonomy, pvi-params,
 family-check.  Exact data crosses the boundary as strings ("2/3", never
 floats); reports are JSON by default (deterministic for exact subcommands) or
 plain text with --format text.  Exit codes: 0 ok, 1 cap-exceeded, 2 error.
+Only the holonomy subcommand imports :mod:`fricke.connection`, and so numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
-from . import braid, connection, groebner
+from . import braid, groebner, pvi
 from .charvariety import TracePoint, classify
 from .exactalg import Polynomial, format_rational, parse_rational
 
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_holonomy = add_parser("holonomy", help="numerical monodromy of a residue tuple")
     p_holonomy.add_argument("--residues", required=True, help="path to a residue-tuple JSON file")
     p_holonomy.add_argument("--t", required=True, help="fourth puncture position (complex)")
-    p_holonomy.add_argument("--tol", type=float, default=connection.DEFAULT_HOLONOMY_TOL)
+    p_holonomy.add_argument("--tol", type=float, default=pvi.DEFAULT_HOLONOMY_TOL)
 
     p_pvi = add_parser("pvi-params", help="equation parameters from exponents")
     p_pvi.add_argument("--theta", required=True, help="four rational exponents")
@@ -97,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="polynomial in th1..th4 to test for ideal membership (repeatable)",
     )
     p_family.add_argument(
-        "--family", choices=sorted(connection.FAMILY_CONSTRAINT_SETS),
+        "--family", choices=sorted(pvi.FAMILY_CONSTRAINT_SETS),
         help="also test a shipped named constraint set for membership",
     )
     return parser
@@ -131,9 +133,10 @@ def _triple_json(v) -> list[str]:
 
 
 def _inputs(args: argparse.Namespace) -> dict:
-    """The arguments a report echoes back, whatever its status."""
+    """The arguments a report echoes back, whatever its status; a non-finite
+    float (``--tol nan``) is echoed as its text, since JSON has no such number."""
     return {
-        key: value
+        key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
         for key, value in vars(args).items()
         if key not in ("subcommand", "format") and not (value is None or value is False or value == [])
     }
@@ -184,6 +187,8 @@ def execute(args: argparse.Namespace) -> dict:
         }
 
     elif name == "holonomy":
+        from . import connection
+
         with open(args.residues, "r", encoding="utf-8") as handle:
             residues = connection.ResidueTuple.from_json(json.load(handle))
         config = connection.PunctureConfig(_parse_complex(args.t, "--t"))
@@ -194,20 +199,20 @@ def execute(args: argparse.Namespace) -> dict:
 
     elif name == "pvi-params":
         theta = _parse_rational_tuple(args.theta, 4, "--theta")
-        r = connection.pvi_params(theta)
+        r = pvi.pvi_params(theta)
         report["result"] = {"r": [format_rational(x) for x in r]}
 
     elif name == "family-check":
         theta0 = _parse_rational_tuple(args.theta0, 4, "--theta0")
-        ideal = connection.family_constraints(theta0)
+        ideal = pvi.family_constraints(theta0)
         members = {}
         for text in args.member:
-            poly = Polynomial.parse(text, connection.THETA_VARS)
+            poly = Polynomial.parse(text, pvi.THETA_VARS)
             members[text] = groebner.ideal_member(poly, ideal)
         family_report = None
         if args.family:
-            polys = connection.FAMILY_CONSTRAINT_SETS[args.family]
-            theta0_point = dict(zip(connection.THETA_VARS, theta0))
+            polys = pvi.FAMILY_CONSTRAINT_SETS[args.family]
+            theta0_point = dict(zip(pvi.THETA_VARS, theta0))
             family_report = {
                 "name": args.family,
                 "polynomials": [str(p) for p in polys],

@@ -11,8 +11,12 @@ holds with ``A4 = (A1 A2 A3)^-1`` conjugate to the monodromy at infinity.
 Orientation convention: loops are counterclockwise and transports are
 inverted, so for commuting residues ``A1 = exp(2 pi i X1)``.
 
-All floating-point and complex arithmetic of the package lives in this module;
-everything upstream is exact.
+All floating-point and complex arithmetic of the package lives in this module,
+and it is the only one that imports numpy; everything upstream is exact.  The
+exact names of the Painleve VI layer (``THETA_VARS``, ``pvi_params``,
+``family_constraints``, ``FAMILY_CONSTRAINT_SETS``) and ``DEFAULT_HOLONOMY_TOL``
+live in :mod:`fricke.pvi` and are re-exported here, so the exact subcommands
+never load this module.
 """
 
 from __future__ import annotations
@@ -20,19 +24,20 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .charvariety import NON_REAL, SL2R, SU2, ClassLabel, cubic_value
-from .exactalg import Polynomial
-from .groebner import Ideal
-
-THETA_VARS = ("th1", "th2", "th3", "th4")
+from .pvi import (  # noqa: F401 - re-exported
+    DEFAULT_HOLONOMY_TOL,
+    FAMILY_CONSTRAINT_SETS,
+    THETA_VARS,
+    family_constraints,
+    pvi_params,
+)
 
 RESIDUE_TOL = 1e-12
-DEFAULT_HOLONOMY_TOL = 1e-10
 MAX_INTEGRATION_STEPS = 1_000_000
 # a det at most this times max|entry|**2 is lost in rounding (see _unimodular)
 _DET_NOISE = 4 * 2.0 ** -52
@@ -96,6 +101,8 @@ class ResidueTuple:
             raise ValueError("a residue tuple is four 2x2 complex matrices")
         object.__setattr__(self, "X", mats)
         for i, m in enumerate(mats):
+            if not np.isfinite(m).all():
+                raise ValueError(f"residue {i + 1} has a non-finite entry")
             if abs(m[0, 0] + m[1, 1]) > RESIDUE_TOL:
                 raise ValueError(f"residue {i + 1} is not traceless: trace {m[0, 0] + m[1, 1]}")
         total = mats[0] + mats[1] + mats[2] + mats[3]
@@ -123,6 +130,8 @@ class PunctureConfig:
     def __post_init__(self):
         t = complex(self.t)
         object.__setattr__(self, "t", t)
+        if not cmath.isfinite(t):
+            raise ValueError(f"puncture position t={t} is not finite")
         if min(abs(t), abs(t - 1)) < 1e-12:
             raise ValueError(f"puncture position t={t} collides with 0 or 1")
 
@@ -353,6 +362,8 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
     infinity.  A cap hit or a determinant lost in rounding (see
     ``_unimodular``) raises :class:`HolonomyError`.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     punctures = list(config.finite)
@@ -440,22 +451,6 @@ def classify_numeric(a: Sequence[complex], v: Sequence[complex], tol: float = 1e
 
 # -- Painleve VI layer ----------------------------------------------------------
 
-def pvi_params(theta: Sequence) -> tuple:
-    """The four equation parameters, quadratic in the exponents.
-
-    Exact when handed rationals: ``r1 = (th4-1)^2/2, r2 = -th1^2/2,
-    r3 = th3^2/2, r4 = (1-th2^2)/2``.
-    """
-    th1, th2, th3, th4 = theta
-    half = 0.5 if isinstance(th1, (float, complex)) else Fraction(1, 2)
-    return (
-        (th4 - 1) ** 2 * half,
-        -(th1 ** 2) * half,
-        th3 ** 2 * half,
-        (1 - th2 ** 2) * half,
-    )
-
-
 def pvi_residual(t: complex, y: complex, y_prime: complex, y_second: complex,
                  theta: Sequence[complex]) -> complex:
     """Left side minus right side of the sixth Painleve equation at a 2-jet.
@@ -480,34 +475,3 @@ def pvi_residual(t: complex, y: complex, y_prime: complex, y_second: complex,
            + r4 * t * (t - 1) / (y - t) ** 2)
     )
     return lhs - rhs
-
-
-def _theta_polynomials() -> tuple[Polynomial, ...]:
-    return tuple(Polynomial.variable(n) for n in THETA_VARS)
-
-
-def family_constraints(theta0: Sequence[Fraction]) -> Ideal:
-    """The ideal of exponent deformations keeping every equation parameter fixed.
-
-    Generated by ``r_i(theta) - r_i(theta0)`` over the rationals; every
-    generator vanishes at ``theta0``, and the ideal is invariant under the
-    sign symmetries fixing each ``r_i``.
-    """
-    theta0 = tuple(Fraction(x) for x in theta0)
-    th = _theta_polynomials()
-    symbolic = pvi_params(th)
-    values = pvi_params(theta0)
-    gens = tuple(sym - Polynomial.constant(val) for sym, val in zip(symbolic, values))
-    return Ideal(gens, THETA_VARS)
-
-
-#: Shipped verification data: constraint sets of known deformation families,
-#: parameterized in the exponent variables.  The two-point-orbit family below
-#: has a 2-dimensional constraint variety strictly larger than the zero set of
-#: :func:`family_constraints`; it is shipped as data, not derived.
-FAMILY_CONSTRAINT_SETS: dict[str, tuple[Polynomial, ...]] = {
-    "tetrahedral-two-point": (
-        Polynomial.parse("0 - th2^2 + th3^2", THETA_VARS),
-        Polynomial.parse("1 - th1^2 - 2*th4 + th4^2", THETA_VARS),
-    ),
-}

@@ -333,10 +333,11 @@ def reduce(poly: Polynomial, basis: Iterable[Polynomial], order: MonomialOrder) 
     return GroebnerBasis(tuple(basis), order)._remainder(poly)
 
 
-def _update_pairs(lms: Sequence[int], live: set[_Pair], k: int,
-                  layout: _Layout) -> tuple[set[_Pair], list[int]]:
-    """Gebauer–Möller update of the pending pairs ``live`` (all ``i < j < k``)
-    for the new leading monomial ``lms[k]``.  Returns the pairs kept, new ones
+def _update_pairs(lms: Sequence[int], live: dict[_Pair, int], k: int,
+                  layout: _Layout) -> tuple[dict[_Pair, int], list[int]]:
+    """Gebauer–Möller update of the pending pairs ``live`` (all ``i < j < k``,
+    each mapped to the lcm of its leading monomials) for the new leading
+    monomial ``lms[k]``.  Returns the pairs kept with their lcms, new ones
     included, and the partners ``i`` of the new pairs ``(i, k)`` kept.
 
     Criteria M and F drop ``(i, k)`` when the lcm of a new pair not yet
@@ -357,11 +358,10 @@ def _update_pairs(lms: Sequence[int], live: set[_Pair], k: int,
                                          for j in chain(range(i + 1, k), kept)):
             kept.append(i)
     partners = [i for i in kept if not coprime(lms[i], h)]
-    pairs = {(i, k) for i in partners}
-    for i, j in live:
-        lcm_ij = layout.lcm(lms[i], lms[j])
+    pairs = {(i, k): lcms[i] for i in partners}
+    for (i, j), lcm_ij in live.items():
         if not divides(h, lcm_ij) or lcm_ij in (lcms[i], lcms[j]):
-            pairs.add((i, j))
+            pairs[i, j] = lcm_ij
     return pairs, partners
 
 
@@ -386,7 +386,7 @@ def buchberger(
     layout = order._layout
 
     basis: list[_Entry] = []
-    live: set[_Pair] = set()
+    live: dict[_Pair, int] = {}
     heap: list[tuple[int, int, _Pair]] = []
 
     def add(entry: _Entry) -> None:
@@ -397,7 +397,7 @@ def buchberger(
         basis.append(entry)
         live, partners = _update_pairs([e[0] for e in basis], live, k, layout)
         for i in partners:
-            lcm_ik = layout.lcm(basis[i][0], entry[0])
+            lcm_ik = live[i, k]
             heapq.heappush(heap, (sum(layout.decode(lcm_ik)), lcm_ik ^ layout.flip, (i, k)))
 
     for g in ideal.generators:
@@ -408,7 +408,7 @@ def buchberger(
         degree, _, (i, j) = heapq.heappop(heap)
         if (i, j) not in live:  # dropped by criterion B since it was queued
             continue
-        live.remove((i, j))
+        del live[i, j]
         if degree > max_degree:
             raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
 
@@ -452,7 +452,7 @@ def verify_groebner(gb: GroebnerBasis) -> bool:
     """
     layout, entries = gb.order._layout, gb._entries
     lms = [e[0] for e in entries]
-    live: set[_Pair] = set()
+    live: dict[_Pair, int] = {}
     for k in range(len(entries)):
         live, _ = _update_pairs(lms, live, k, layout)
     return not any(

@@ -1,6 +1,7 @@
 """Generator maps, word arithmetic, orbit enumeration, and fixed loci."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -261,6 +262,24 @@ def oracle_orbit(point, cap):
 
 SHEARS = st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=1, max_size=3)
 WORDS = st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=8)
+
+
+class TestWordGrammar:
+    @given(WORDS)
+    def test_str_round_trips(self, letters):
+        word = BraidWord(tuple(letters))
+        assert BraidWord.parse(str(word)) == word
+
+    @given(st.text(alphabet="tT0123x^;") | st.lists(
+        st.sampled_from(("t1", "T2", "t3", "t", "T", "0", "4", "x", "^", ";")), max_size=8,
+    ).map("".join))
+    def test_text_parses_or_raises_value_error(self, text):
+        try:
+            word = BraidWord.parse(text)
+        except ValueError:
+            assert not re.fullmatch("([tT][123])*", text)
+        else:
+            assert str(word) == text
 
 
 class TestIntegerPath:

@@ -1,12 +1,16 @@
 """Command parsing, execution, report emission, exit codes, and the schema."""
 
+import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fricke import cli, groebner as gb
 from fricke.exactalg import parse_polynomial
@@ -14,6 +18,20 @@ from fricke.exactalg import parse_polynomial
 from conftest import random_traceless_matrix
 
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report-schema.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+# text over the braid-word alphabet and its neighbours, drawn both by
+# character and by whole letters, so that some of it parses
+GENS_TEXT = st.text(alphabet="tT0123x^;", max_size=8) | st.lists(
+    st.sampled_from(("t1", "T1", "t2", "T2", "t3", "T3", ";", "t", "0", "x^")), max_size=4,
+).map("".join)
+COMMUTING_RESIDUES = {
+    "X": [
+        [[1 / 6, 0], [0, 0], [0, 0], [-1 / 6, 0]],
+        [[-1 / 6, 0], [0, 0], [0, 0], [1 / 6, 0]],
+        [[0, 0], [0, 0], [0, 0], [0, 0]],
+        [[0, 0], [0, 0], [0, 0], [0, 0]],
+    ]
+}
 
 
 def run_main(argv, stdin_text=None, capsys=None):
@@ -135,16 +153,8 @@ class TestExecute:
         validate_schema(report)
 
     def test_holonomy_from_file(self, tmp_path):
-        residues = {
-            "X": [
-                [[1 / 6, 0], [0, 0], [0, 0], [-1 / 6, 0]],
-                [[-1 / 6, 0], [0, 0], [0, 0], [1 / 6, 0]],
-                [[0, 0], [0, 0], [0, 0], [0, 0]],
-                [[0, 0], [0, 0], [0, 0], [0, 0]],
-            ]
-        }
         path = tmp_path / "residues.json"
-        path.write_text(json.dumps(residues))
+        path.write_text(json.dumps(COMMUTING_RESIDUES))
         args = cli.parse_command(["holonomy", "--residues", str(path), "--t", "0.5"])
         report = cli.execute(args)
         assert report["status"] == "ok"
@@ -316,3 +326,131 @@ class TestMainAndExitCodes:
         code = run_main(["orbit", "--a", "x,0,0,0", "--v", "2,0,0"])
         report = json.loads(capsys.readouterr().out)
         assert code == 2 and "--a" in report["message"]
+
+    @pytest.mark.parametrize(
+        "flags, residues, message, echoed",
+        [
+            (["--t", "0.5", "--tol", "nan"], COMMUTING_RESIDUES,
+             "tolerance must be finite, got nan", {"t": "0.5", "tol": "nan"}),
+            (["--t", "0.5", "--tol", "inf"], COMMUTING_RESIDUES,
+             "tolerance must be finite, got inf", {"t": "0.5", "tol": "inf"}),
+            (["--t", "nan"], COMMUTING_RESIDUES,
+             "puncture position t=(nan+0j) is not finite", {"t": "nan", "tol": 1e-10}),
+            (["--t", "0.5"], {"X": [[[float("nan"), 0]] + [[0, 0]] * 3] + COMMUTING_RESIDUES["X"][1:]},
+             "residue 1 has a non-finite entry", {"t": "0.5", "tol": 1e-10}),
+        ],
+        ids=["tol-nan", "tol-inf", "t-nan", "residue-nan"],
+    )
+    def test_non_finite_holonomy_input_is_an_error_report(self, capsys, tmp_path, flags,
+                                                          residues, message, echoed):
+        path = tmp_path / "residues.json"
+        path.write_text(json.dumps(residues))  # json writes a NaN entry as NaN, which json reads
+        assert run_main(["holonomy", "--residues", str(path), *flags]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["message"] == message
+        assert report["inputs"] == {"residues": str(path)} | echoed
+        validate_schema(report)
+
+    def test_stdin_valid_line_report_is_pinned(self, capsys):
+        line = '{"a":["1","-1","-1","-1"],"v":[0,1,"0"]}'
+        assert run_main(["classify", "--stdin"], stdin_text=line + "\n") == 0
+        assert capsys.readouterr().out == (
+            '{"status": "ok", "command": "classify", "inputs": {"line": '
+            '"{\\"a\\":[\\"1\\",\\"-1\\",\\"-1\\",\\"-1\\"],\\"v\\":[0,1,\\"0\\"]}"}, '
+            '"result": {"point": {"a": ["1", "-1", "-1", "-1"], "v": ["0", "1", "0"]}, '
+            '"on_variety": true, "class": "SU2", "real": true, "box": true, "overlap": true}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"a":"1111","v":[0,0,0]}', "trace point key 'a' must be an array"),
+            ('{"a":[1,1,1,1],"v":"000"}', "trace point key 'v' must be an array"),
+            ('{"a":[1,1,1,1]}', "trace point has no key 'v'"),
+            ('{"v":[0,0,0]}', "trace point has no key 'a'"),
+            ("[1,2]", "a trace point must be a JSON object with arrays 'a' and 'v'"),
+            ('"a"', "a trace point must be a JSON object with arrays 'a' and 'v'"),
+            ('{"a":[1,1,1,1],"v":[0.5,0,0]}',
+             "bad entry in trace point key 'v': not a rational literal: '0.5'"),
+        ],
+        ids=["a-string", "v-string", "no-v", "no-a", "array", "string", "float-entry"],
+    )
+    def test_stdin_loose_line_names_the_key(self, capsys, line, message):
+        assert run_main(["classify", "--stdin"], stdin_text=line + "\n") == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["message"] == message
+        validate_schema(report)
+
+    @settings(max_examples=60)
+    @given(GENS_TEXT)
+    def test_fixed_ideal_gens_fuzz_gives_a_report(self, gens):
+        # a word of five characters holds at most two letters; three-letter
+        # words can take seconds of Groebner work each
+        assume(all(len(word) <= 5 for word in gens.split(";")))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["fixed-ideal", "--gens", gens])
+        report = json.loads(out.getvalue())
+        assert (code, report["status"]) in ((0, "ok"), (2, "error"))
+        assert report["inputs"] == {"gens": gens}
+        validate_schema(report)
+
+
+def fresh_interpreter(code: str) -> str:
+    """Standard output of ``python -c code`` in a new process importing from ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNumpyLoadsOnlyForHolonomy:
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import fricke.cli",
+            "import fricke",
+            "from fricke import cli; cli.main(['classify', '--a', '2,2,2,2', '--v', '2,2,2'])",
+            "from fricke import cli; cli.main(['pvi-params', '--theta', '1/3,2/3,2/3,2/3'])",
+            "from fricke import cli; cli.main(['family-check', '--theta0', '1/3,2/3,2/3,2/3', "
+            "'--member', 'th2^2 - th3^2', '--family', 'tetrahedral-two-point'])",
+        ],
+        ids=["import-cli", "import-package", "classify", "pvi-params", "family-check"],
+    )
+    def test_exact_paths_leave_numpy_unloaded(self, code):
+        out = fresh_interpreter(f"{code}\nimport sys; print('numpy' in sys.modules)")
+        assert out.splitlines()[-1] == "False"
+
+    def test_package_names_load_connection_on_use(self):
+        out = fresh_interpreter(
+            "import sys, fricke; print('numpy' in sys.modules); "
+            "print(fricke.holonomy.__module__, 'numpy' in sys.modules)"
+        )
+        assert out.splitlines() == ["False", "fricke.connection True"]
+
+    def test_star_import_resolves_every_name(self):
+        out = fresh_interpreter(
+            "from fricke import *; import fricke; "
+            "print(all(globals()[n] is getattr(fricke, n) for n in fricke.__all__)); "
+            "print(ResidueTuple.__module__, PunctureConfig.__module__, exp_map.__module__)"
+        )
+        assert out.splitlines() == ["True", "fricke.connection fricke.connection fricke.connection"]
+
+    def test_unknown_package_attribute_raises(self):
+        import fricke
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            fricke.no_such_name
+
+    def test_holonomy_subcommand_in_fresh_interpreter(self, tmp_path):
+        path = tmp_path / "residues.json"
+        path.write_text(json.dumps(COMMUTING_RESIDUES))
+        out = fresh_interpreter(
+            f"from fricke import cli; cli.main(['holonomy', '--residues', {str(path)!r}, '--t', '0.5'])"
+        )
+        report = json.loads(out)
+        assert report["status"] == "ok"
+        assert report["result"]["class"]["class"] == "SU2"
+        validate_schema(report)

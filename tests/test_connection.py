@@ -50,6 +50,20 @@ class TestResidueTuples:
         with pytest.raises(ValueError):
             conn.PunctureConfig(0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_residue_entry_rejected(self, value):
+        # NaN fails every comparison, so the trace and sum checks alone pass it
+        x = diag(1, -1)
+        y = x.copy()
+        y[0, 1] = value
+        with pytest.raises(ValueError, match="residue 2 has a non-finite entry"):
+            conn.ResidueTuple((x, y, ZERO, ZERO))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, complex(0.5, math.nan), -math.inf])
+    def test_non_finite_puncture_rejected(self, t):
+        with pytest.raises(ValueError, match="puncture position t=.* is not finite"):
+            conn.PunctureConfig(t)
+
 
 class TestExponents:
     def test_diagonal_read_off(self):
@@ -144,6 +158,11 @@ class TestHolonomy:
         with pytest.raises(ValueError):
             conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=tol)
+
     def test_series_term_cap_raises(self):
         # steps at half the distance to the nearest puncture shrink the terms
         # about 2x each, so 1e-200 is out of reach within the term cap
@@ -224,6 +243,14 @@ class TestPviParams:
 
     def test_all_vanishing(self):
         assert conn.pvi_params((F(0), F(1), F(0), F(1))) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("theta", [(0.1, 0.2, 0.3, 0.4), (0.1 + 0.2j, -0.3j, 0.5, 1.25 - 0.5j)])
+    def test_float_exponents_give_the_float_half_formula(self, theta):
+        th1, th2, th3, th4 = theta
+        expected = ((th4 - 1) ** 2 * 0.5, -(th1 ** 2) * 0.5, th3 ** 2 * 0.5, (1 - th2 ** 2) * 0.5)
+        got = conn.pvi_params(theta)
+        assert got == expected
+        assert [type(x) for x in got] == [type(x) for x in expected]
 
 
 class TestPviResidual:

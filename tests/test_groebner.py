@@ -320,7 +320,10 @@ class TestBuchberger:
     def test_update_pairs_on_hand_built_monomials(self, lms, live, expected):
         layout = gb.MonomialOrder.lex(("x", "y"))._layout
         packed = [layout.encode(m) for m in lms]
-        assert gb._update_pairs(packed, set(live), len(lms) - 1, layout) == expected
+        live = {(i, j): layout.lcm(packed[i], packed[j]) for i, j in live}
+        pairs, partners = gb._update_pairs(packed, live, len(lms) - 1, layout)
+        assert (set(pairs), partners) == expected
+        assert all(lcm == layout.lcm(packed[i], packed[j]) for (i, j), lcm in pairs.items())
 
     def test_generators_are_members(self):
         ideal = gb.Ideal.of([P("x^2 + y"), P("y^3 - x")], ("x", "y"))
