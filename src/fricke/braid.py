@@ -268,10 +268,11 @@ class FixedPoints:
 def fixed_points_at(a: Sequence[Fraction], subgroup: SubgroupSpec) -> FixedPoints:
     """Specialize the fixed locus at boundary traces ``a`` and solve it.
 
-    Solves by elimination to univariate polynomials with rational-root
-    extraction and back-substitution.  Non-rational univariate factors are
-    reported unsolved; a positive-dimensional specialization is reported with
-    its basis instead of a solution list.
+    Solves with :func:`groebner.solve_zero_dimensional`: univariate
+    eliminants taken from grevlex bases, rational-root extraction and
+    back-substitution.  Non-rational univariate factors are reported
+    unsolved; a positive-dimensional specialization is reported with its
+    basis instead of a solution list.
     """
     a = tuple(Fraction(x) for x in a)
     ideal = Ideal(fixed_ideal_generators(subgroup, a), V_VARS)

@@ -77,10 +77,17 @@ def matrix_to_json(m: np.ndarray) -> list[list[float]]:
 
 
 def matrix_from_json(data: Sequence[Sequence[float]]) -> np.ndarray:
-    if len(data) != 4:
+    if not isinstance(data, list) or len(data) != 4:
         raise ValueError("a 2x2 matrix needs exactly four [re, im] entries (row-major)")
-    entries = [complex(re, im) for re, im in data]
-    return np.array([[entries[0], entries[1]], [entries[2], entries[3]]], dtype=complex)
+    entries = []
+    for j, entry in enumerate(data, 1):  # a JSON number is an int or a float, never a bool
+        if not (isinstance(entry, list) and len(entry) == 2 and all(type(x) in (int, float) for x in entry)):
+            raise ValueError(f"entry {j} is not a pair [re, im] of numbers")
+        try:
+            entries.append(complex(*map(float, entry)))
+        except OverflowError:
+            raise ValueError(f"entry {j} has a number too large for a float") from None
+    return np.array(entries, dtype=complex).reshape(2, 2)
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -118,7 +125,21 @@ class ResidueTuple:
 
     @staticmethod
     def from_json(data: dict) -> "ResidueTuple":
-        return ResidueTuple(tuple(matrix_from_json(m) for m in data["X"]))
+        """Inverse of :meth:`to_json`: an object whose ``X`` is an array of four
+        matrices, each four row-major ``[re, im]`` number pairs."""
+        if not isinstance(data, dict):
+            raise ValueError("a residue tuple must be a JSON object with an array 'X' of four matrices")
+        if "X" not in data:
+            raise ValueError("residue tuple has no key 'X'")
+        if not isinstance(data["X"], list) or len(data["X"]) != 4:
+            raise ValueError("residue tuple key 'X' must be an array of four matrices")
+        mats = []
+        for i, m in enumerate(data["X"], 1):
+            try:
+                mats.append(matrix_from_json(m))
+            except ValueError as err:
+                raise ValueError(f"bad matrix {i} in residue tuple key 'X': {err}") from err
+        return ResidueTuple(tuple(mats))
 
 
 @dataclass(frozen=True)

@@ -644,47 +644,41 @@ class ZeroDimensionalSolution:
 
 
 def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
-    """Solve by lex triangularization, rational-root extraction, back-substitution.
+    """Solve from grevlex bases: eliminants, rational roots, back-substitution.
 
-    Raises :class:`NotZeroDimensionalError` (carrying the grevlex basis) when
-    the variety is not finite.  Irreducible univariate factors without
-    rational roots are reported as residuals instead of being solved.
+    Each level's eliminant, the monic generator of ``I ∩ ℚ[last]``, comes from
+    ``eliminate`` (the Elimination Theorem); each rational root is substituted
+    into the level's grevlex basis, and the next level is the grevlex basis
+    of the result.  Raises :class:`NotZeroDimensionalError` (carrying the
+    grevlex basis) when the variety is not finite.  Irreducible univariate
+    factors without rational roots are reported as residuals instead of
+    being solved.
     """
     gb = groebner_basis(ideal)
-    if any(g == Polynomial.constant(1) for g in gb.polynomials):
-        return ZeroDimensionalSolution(points=())
     leads = [gb.order._layout.decode(lm) for lm, _, _ in gb._entries]
-    # finite exactly when some leading monomial is a pure power of each variable
-    if not all(any(0 < vec[pos] == sum(vec) for vec in leads) for pos in range(len(ideal.variables))):
+    # finite exactly when some leading monomial is a pure power of each variable;
+    # the unit ideal's 1 counts as one, and its eliminant 1 has no roots
+    if not all(any(vec[pos] == sum(vec) for vec in leads) for pos in range(len(ideal.variables))):
         raise NotZeroDimensionalError(gb)
 
     residuals: list[Polynomial] = []
 
-    def solve_rec(gens: list[Polynomial], names: tuple[str, ...]) -> list[dict]:
-        order = MonomialOrder.lex(names)
-        sub_gb = buchberger(Ideal(tuple(gens), names), order)
-        polys = sub_gb.polynomials
-        if any(p == Polynomial.constant(1) for p in polys):
-            return []
+    def solve_rec(gb: GroebnerBasis) -> list[dict]:
+        names = gb.order.variables
         last = names[-1]
-        eliminant = next((p for p in polys if p.variables() <= {last}), None)
-        if eliminant is None:
-            raise NotZeroDimensionalError(sub_gb)
+        (eliminant,) = eliminate(gb.as_ideal(), names[:-1]).generators
         roots, residual = rational_roots(eliminant, last)
         if residual is not None:
             residuals.append(residual)
+        if len(names) == 1:
+            return [{last: root} for root in roots]
         points = []
         for root in roots:
-            if len(names) == 1:
-                points.append({last: root})
-                continue
-            substituted = [p.substitute({last: Polynomial.constant(root)}) for p in polys]
-            substituted = [p for p in substituted if not p.is_zero()]
-            for partial in solve_rec(substituted, names[:-1]):
-                partial[last] = root
-                points.append(partial)
+            substituted = tuple(p.substitute({last: Polynomial.constant(root)}) for p in gb.polynomials)
+            sub_gb = buchberger(Ideal(substituted, names[:-1]))
+            points += [partial | {last: root} for partial in solve_rec(sub_gb)]
         return points
 
-    points = solve_rec(list(ideal.generators), tuple(ideal.variables))
+    points = solve_rec(gb)
     ordered = tuple(sorted(points, key=lambda pt: tuple(pt[v] for v in ideal.variables)))
     return ZeroDimensionalSolution(points=ordered, residuals=tuple(residuals))

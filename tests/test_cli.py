@@ -7,12 +7,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fricke import cli, groebner as gb
+from fricke import braid, cli, groebner as gb
+from fricke.charvariety import V_VARS, TracePoint, classify
 from fricke.exactalg import parse_polynomial
 
 from conftest import random_traceless_matrix
@@ -32,6 +34,39 @@ COMMUTING_RESIDUES = {
         [[0, 0], [0, 0], [0, 0], [0, 0]],
     ]
 }
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+# at most 12 leaves: a residue tuple needs 32 numbers, so none of these is one
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=5)
+                           | st.dictionaries(st.sampled_from(("X", "Y", "")), inner, max_size=3),
+                           max_leaves=12)
+NOT_A_LIST = JSON_VALUES.filter(lambda value: not isinstance(value, list))
+
+
+@st.composite
+def malformed_residues(draw):
+    """The JSON of a residue tuple with one fault: at the top, in ``X``, in a
+    matrix, in an ``[re, im]`` entry, or a number that is no finite float."""
+    pair = st.lists(st.integers(-2, 2) | st.floats(-2, 2), min_size=2, max_size=2)
+    mats = draw(st.lists(st.lists(pair, min_size=4, max_size=4), min_size=4, max_size=4))
+    i, j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+    wrong_length = st.lists(JSON_VALUES, max_size=6)
+    fault = draw(st.sampled_from(("top", "key", "X", "matrix", "entry", "number")))
+    if fault == "top":
+        return draw(JSON_VALUES.filter(lambda value: not isinstance(value, dict)))
+    if fault == "key":
+        return {"Y": mats}
+    if fault == "X":
+        return {"X": draw(NOT_A_LIST | wrong_length.filter(lambda m: len(m) != 4))}
+    if fault == "matrix":
+        mats[i] = draw(NOT_A_LIST | wrong_length.filter(lambda m: len(m) != 4))
+    elif fault == "entry":
+        not_a_number = st.none() | st.booleans() | st.text(max_size=2) | st.lists(st.integers(), max_size=2)
+        mats[i][j] = draw(NOT_A_LIST | wrong_length.filter(lambda m: len(m) != 2)
+                          | st.lists(not_a_number, min_size=2, max_size=2))
+    else:
+        mats[i][j][k] = draw(st.sampled_from((float("nan"), float("inf"), -float("inf"), 10**400)))
+    return {"X": mats}
 
 
 def run_main(argv, stdin_text=None, capsys=None):
@@ -151,6 +186,30 @@ class TestExecute:
         assert family["members_of_strict_ideal"] == [True, True]
         assert family["vanish_at_theta0"] == [True, True]
         validate_schema(report)
+
+    @pytest.mark.parametrize("gens, a, expected", [
+        ("t1t2", "1,2,-3,-3", {("1", "-3", "-3")}),
+        ("T1t2t3", "-1,-1,-1,0", {("1", "-1", "1")}),
+    ])
+    def test_fixed_points_a_lex_basis_could_not_reach(self, capsys, gens, a, expected):
+        # a lex basis of these systems ran past 150 s (t1t2) or past the
+        # degree cap (T1t2t3).  A root of multiplicity m lists its point m
+        # times, so the points are compared as a set.
+        assert run_main(["fixed-points", "--gens", gens, f"--a={a}"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        validate_schema(report)
+        subgroup = braid.SubgroupSpec.parse(gens.split(";"))
+        boundary = tuple(map(Fraction, a.split(",")))
+        generators = braid.fixed_ideal_generators(subgroup, boundary)
+        solutions = report["result"]["solutions"]
+        for solution in solutions:
+            v = tuple(map(Fraction, solution["v"]))
+            point = TracePoint(boundary, v)
+            assert all(g.evaluate(dict(zip(V_VARS, v))) == 0 for g in generators)
+            assert all(braid.apply_word(word, point) == point for word in subgroup.generators)
+            assert solution == {"point": point.to_json(), "on_variety": True,
+                                **classify(point).to_json(), "v": solution["v"]}
+        assert {tuple(s["v"]) for s in solutions} == expected
 
     def test_holonomy_from_file(self, tmp_path):
         path = tmp_path / "residues.json"
@@ -381,6 +440,48 @@ class TestMainAndExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "error"
         assert report["message"] == message
+        validate_schema(report)
+
+    @pytest.mark.parametrize(
+        "residues, message",
+        [
+            ({"Y": []}, "residue tuple has no key 'X'"),
+            ([1], "a residue tuple must be a JSON object with an array 'X' of four matrices"),
+            ({"X": [[1]] * 4}, "bad matrix 1 in residue tuple key 'X': a 2x2 matrix needs "
+             "exactly four [re, im] entries (row-major)"),
+            ({"X": COMMUTING_RESIDUES["X"][:3]}, "residue tuple key 'X' must be an array of four matrices"),
+            ({"X": COMMUTING_RESIDUES["X"][:3] + [[[0, 0]] * 3 + [[1]]]},
+             "bad matrix 4 in residue tuple key 'X': entry 4 is not a pair [re, im] of numbers"),
+            ({"X": COMMUTING_RESIDUES["X"][:3] + [[[0, 0]] * 2 + [["0", 0], [0, 0]]]},
+             "bad matrix 4 in residue tuple key 'X': entry 3 is not a pair [re, im] of numbers"),
+            ({"X": COMMUTING_RESIDUES["X"][:3] + [[[0, 0]] * 2 + [[0, True], [0, 0]]]},
+             "bad matrix 4 in residue tuple key 'X': entry 3 is not a pair [re, im] of numbers"),
+            ({"X": COMMUTING_RESIDUES["X"][:3] + [[[0, 0]] * 3 + [[0, 10**400]]]},
+             "bad matrix 4 in residue tuple key 'X': entry 4 has a number too large for a float"),
+        ],
+        ids=["no-X", "array", "matrix-short", "three-matrices", "entry-short", "string-number",
+             "bool-number", "huge-number"],
+    )
+    def test_malformed_residues_name_the_fault(self, capsys, tmp_path, residues, message):
+        path = tmp_path / "residues.json"
+        path.write_text(json.dumps(residues))
+        assert run_main(["holonomy", "--residues", str(path), "--t", "0.5"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["message"] == message
+        validate_schema(report)
+
+    @settings(max_examples=150)
+    @given(JSON_VALUES | malformed_residues())
+    def test_holonomy_residues_fuzz_gives_an_error_report(self, tmp_path_factory, residues):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-residues.json"
+        path.write_text(json.dumps(residues))  # a NaN or inf is written in the form json reads
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["holonomy", "--residues", str(path), "--t", "0.5"])
+        report = json.loads(out.getvalue())
+        assert (code, report["status"]) == (2, "error"), report
+        assert report["message"] and "Traceback" not in report["message"] and not err.getvalue()
         validate_schema(report)
 
     @settings(max_examples=60)

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from fricke import groebner as gb
-from fricke.charvariety import ALL_VARS
+from fricke import braid, groebner as gb
+from fricke.charvariety import ALL_VARS, V_VARS
 from fricke.exactalg import MAX_EXPONENT, Monomial, Polynomial, parse_polynomial
 
 P = parse_polynomial
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 # reference generating set of the two-point-orbit invariant subvariety
 REFERENCE_GENERATORS = (
@@ -89,6 +90,34 @@ def textbook_reduce(f: Polynomial, divisors, order: gb.MonomialOrder) -> Polynom
         else:
             remainder[lead] = work.pop(lead)
     return Polynomial.from_exponent_vectors(names, remainder)
+
+
+def lex_solve(ideal: gb.Ideal) -> gb.ZeroDimensionalSolution:
+    """Reference solver for a zero-dimensional ideal: a lex basis from the
+    generators at every level, the roots of its element in the last variable,
+    and back-substitution into the lex basis.  Exact, but lex bases can take
+    minutes where the grevlex ones take milliseconds."""
+    residuals = []
+
+    def solve_rec(gens, names):
+        polys = gb.buchberger(gb.Ideal(tuple(gens), names), gb.MonomialOrder.lex(names)).polynomials
+        if Polynomial.constant(1) in polys:
+            return []
+        last = names[-1]
+        roots, residual = gb.rational_roots(next(p for p in polys if p.variables() <= {last}), last)
+        if residual is not None:
+            residuals.append(residual)
+        if len(names) == 1:
+            return [{last: root} for root in roots]
+        points = []
+        for root in roots:
+            substituted = [p.substitute({last: Polynomial.constant(root)}) for p in polys]
+            points += [partial | {last: root} for partial in solve_rec(substituted, names[:-1])]
+        return points
+
+    points = solve_rec(ideal.generators, ideal.variables)
+    ordered = sorted(points, key=lambda pt: tuple(pt[v] for v in ideal.variables))
+    return gb.ZeroDimensionalSolution(tuple(ordered), tuple(residuals))
 
 
 @st.composite
@@ -487,3 +516,38 @@ class TestUnivariateSolving:
         with pytest.raises(gb.NotZeroDimensionalError) as err:
             gb.solve_zero_dimensional(ideal)
         assert err.value.basis.polynomials
+
+    def test_unit_ideal_has_no_points_and_no_residual(self):
+        sol = gb.solve_zero_dimensional(gb.Ideal.of([P("x*y - 1"), P("x"), P("z^2")], ("x", "y", "z")))
+        assert sol.points == () and sol.residuals == ()
+
+    @pytest.mark.parametrize("gens", ["t2;t1t1;t3t3", "t1;t2"])
+    def test_matches_lex_oracle_on_seeded_boundaries(self, gens):
+        subgroup = braid.SubgroupSpec.parse(gens.split(";"))
+        rng = random.Random(15)
+        solved = 0
+        for _ in range(16):
+            a = tuple(F(rng.randint(-3, 3)) for _ in range(4))
+            ideal = gb.Ideal(braid.fixed_ideal_generators(subgroup, a), V_VARS)
+            try:
+                sol = gb.solve_zero_dimensional(ideal)
+            except gb.NotZeroDimensionalError:
+                continue
+            assert sol == lex_solve(ideal), a
+            solved += 1
+        assert solved >= 12
+
+    @given(st.lists(RATIONALS, min_size=1, max_size=4, unique=True), RATIONALS, RATIONALS,
+           RATIONALS, RATIONALS, st.permutations(("x", "y", "z")))
+    def test_recovers_constructed_points(self, xs, c, d, e, f, names):
+        # the points (r, c*r + d, e*r + f) for distinct r: prod(x - r) with
+        # two linear relations generates their (radical) vanishing ideal
+        x, y, z = (Polynomial.variable(n) for n in ("x", "y", "z"))
+        product = Polynomial.constant(1)
+        for r in xs:
+            product = product * (x - Polynomial.constant(r))
+        line = (y - c * x - Polynomial.constant(d), z - e * x - Polynomial.constant(f))
+        sol = gb.solve_zero_dimensional(gb.Ideal((product, *line), tuple(names)))
+        assert sol.residuals == ()
+        found = [(pt["x"], pt["y"], pt["z"]) for pt in sol.points]
+        assert sorted(found) == sorted((r, c * r + d, e * r + f) for r in xs)
