@@ -146,12 +146,6 @@ def apply_word(word: BraidWord, point: TracePoint) -> TracePoint:
     return TracePoint(point.a, _act(coords[:4], coords[4:], word.letters))
 
 
-def _compose(outer: tuple[Polynomial, ...], inner: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
-    """Triple of (outer after inner): substitute inner images into outer."""
-    images = dict(zip(V_VARS, inner))
-    return tuple(poly.substitute(images) for poly in outer)
-
-
 @lru_cache(maxsize=256)
 def word_triple(word: BraidWord) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Symbolic images of (v1, v2, v3) under a word (letters applied first-to-last)."""

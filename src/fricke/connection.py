@@ -64,12 +64,9 @@ def _unimodular(m: np.ndarray) -> np.ndarray:
     return m / cmath.sqrt(det)
 
 
-def matrix_exp_traceless(m: np.ndarray) -> np.ndarray:
-    """exp of a traceless 2x2 matrix via the closed form cosh/sinh expansion."""
-    lam = cmath.sqrt(-complex(np.linalg.det(m)))
-    if abs(lam) < 1e-30:
-        return np.eye(2, dtype=complex) + m
-    return cmath.cosh(lam) * np.eye(2, dtype=complex) + (cmath.sinh(lam) / lam) * m
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a 2x2 matrix: ``m^-1`` at det 1, with no division."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[float]]:
@@ -223,7 +220,8 @@ class _Transporter:
     ``Y(z + w) = sum y_k w^k`` obey a four-term recurrence and the series
     converges out to the nearest puncture.  Each step covers
     ``TAYLOR_STEP_RATIO`` of that distance and sums its series until two
-    terms in a row fall below ``tol * (1 + max |Y|)``.
+    terms in a row fall below ``tol * (1 + max |Y|)``.  A piece maps ``y``
+    to ``M y`` with ``M`` its transfer matrix, so chained pieces compose.
     """
 
     def __init__(self, residues: Sequence[np.ndarray], punctures: Sequence[complex], tol: float):
@@ -283,7 +281,8 @@ class _Transporter:
 
 
 def _loop_pieces(p: complex, c: complex, r: float):
-    """Segment in, counterclockwise circle, segment back."""
+    """Segment in from ``p`` to the circle of radius ``r`` about ``c``, then that
+    circle counterclockwise; the way back out is the inverse of the way in."""
     entry = c + r * (p - c) / abs(p - c)
     phi0 = cmath.phase(entry - c)
     return [
@@ -292,7 +291,6 @@ def _loop_pieces(p: complex, c: complex, r: float):
             lambda s: c + r * cmath.exp(1j * (phi0 + 2 * math.pi * s)),
             lambda s: 2j * math.pi * r * cmath.exp(1j * (phi0 + 2 * math.pi * s)),
         ),
-        (lambda s: entry + s * (p - entry), lambda s: p - entry),
     ]
 
 
@@ -374,14 +372,17 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
              tol: float = DEFAULT_HOLONOMY_TOL) -> HolonomyResult:
     """Monodromy of the connection with the given residues and puncture position.
 
-    The three finite-puncture transports are Taylor-series steps (see
-    ``_Transporter``); ``integration_error`` sums the last series term kept
-    at each step.  The tuple is then reordered from angular order (seen from
-    the basepoint) to puncture order by conjugation moves, which preserve
-    the total product and every conjugacy class, and projected to det 1
-    again.  ``A4`` is ``(A1 A2 A3)^-1`` rather than a transport around
-    infinity.  A cap hit or a determinant lost in rounding (see
-    ``_unimodular``) raises :class:`HolonomyError`.
+    Each loop is transported in Taylor-series steps (see ``_Transporter``):
+    the segment in once, giving ``T``, then the circle, giving ``C T``.  The
+    flow is traceless and keeps det 1, so the way back out is ``adj(T)`` and
+    the loop is ``adj(T) C T``.  ``integration_error`` sums the last series
+    term kept at each step.  The tuple is then reordered from angular order
+    (seen from the basepoint) to puncture order by conjugation moves
+    ``g h adj(g)``, which preserve the total product and every conjugacy
+    class, and projected to det 1 again.  ``A4`` is the projected
+    ``adj(A3) adj(A2) adj(A1)``, not a transport around infinity.  A cap
+    hit or a determinant lost in rounding (see ``_unimodular``) raises
+    :class:`HolonomyError`.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tol}")
@@ -404,11 +405,12 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
     transporter = _Transporter(residues.X[:3], punctures, tol)
     rho: dict[int, np.ndarray] = {}
     for i in range(3):
-        y: _Mat = (1 + 0j, 0j, 0j, 1 + 0j)
-        for zfun, dzfun in _loop_pieces(basepoint, punctures[i], radius):
-            y = transporter.run_piece(zfun, dzfun, y)
-        # transports are inverted: the adjugate is the inverse at det 1
-        rho[i] = _unimodular(np.array([[y[3], -y[1]], [-y[2], y[0]]]))
+        inbound, circle = _loop_pieces(basepoint, punctures[i], radius)
+        inward = transporter.run_piece(*inbound, (1 + 0j, 0j, 0j, 1 + 0j))
+        around = transporter.run_piece(*circle, inward)
+        # with T = inward and C T = around, the loop is T^-1 C T; transports
+        # are inverted, so rho is (T^-1 C T)^-1 = adj(C T) T at det 1
+        rho[i] = _unimodular(_adj(np.reshape(around, (2, 2))) @ np.reshape(inward, (2, 2)))
 
     # geometric tuple in angular order; bubble-sort to puncture order with
     # conjugation moves (g, h) -> (g h g^-1, g), which preserve the product
@@ -418,13 +420,13 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
         for j in range(len(labels) - 1 - i):
             if labels[j] > labels[j + 1]:
                 g, h = mats[j], mats[j + 1]
-                mats[j], mats[j + 1] = g @ h @ np.linalg.inv(g), g
+                mats[j], mats[j + 1] = g @ h @ _adj(g), g
                 labels[j], labels[j + 1] = labels[j + 1], labels[j]
 
     # the moves leave det drift that the cubic residual multiplies by the
     # size of its terms, so the final matrices are projected once more
     A1, A2, A3 = (_unimodular(m) for m in mats)
-    A4 = np.linalg.inv(A1 @ A2 @ A3)
+    A4 = _unimodular(_adj(A3) @ _adj(A2) @ _adj(A1))
     monodromy = MonodromyTuple((A1, A2, A3, A4))
     a, v, fricke_residual = traces(monodromy)
     return HolonomyResult(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fricke.charvariety import TracePoint
+from fricke.charvariety import V_VARS, TracePoint
 
 # every property test draws the same examples on every run, with no example
 # database and no per-example deadline (exact arithmetic has a long tail)
@@ -79,6 +79,12 @@ def sl2_trace_point(m1: Mat2, m2: Mat2, m3: Mat2) -> TracePoint:
 def random_trace_point(rng: random.Random) -> TracePoint:
     """An exact on-variety point, built from an actual SL2 quadruple."""
     return sl2_trace_point(*(random_sl2(rng) for _ in range(3)))
+
+
+def compose(outer: tuple, inner: tuple) -> tuple:
+    """Symbolic triple of (outer after inner): substitute inner images into outer."""
+    images = dict(zip(V_VARS, inner))
+    return tuple(poly.substitute(images) for poly in outer)
 
 
 def random_traceless_matrix(rng: random.Random, scale: float) -> np.ndarray:

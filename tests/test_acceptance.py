@@ -33,7 +33,7 @@ from fricke.charvariety import (
 )
 from fricke.exactalg import Polynomial, parse_polynomial
 
-from conftest import random_trace_point, sample_residue_tuple
+from conftest import compose, random_trace_point, sample_residue_tuple
 
 P = parse_polynomial
 
@@ -79,8 +79,8 @@ def test_criterion_2_braid_invariance():
         forward = braid.generator_triple(index, 1)
         backward = braid.generator_triple(index, -1)
         ok &= f.substitute(dict(zip(V_VARS, forward))) == f
-        ok &= braid._compose(backward, forward) == identity
-        ok &= braid._compose(forward, backward) == identity
+        ok &= compose(backward, forward) == identity
+        ok &= compose(forward, backward) == identity
     elapsed = time.perf_counter() - start
     report(2, ok, elapsed, "f o tau_i = f and tau_i o tau_i^-1 = id, i = 1, 2, 3")
     assert ok

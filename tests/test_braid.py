@@ -14,7 +14,7 @@ from fricke.charvariety import (
 )
 from fricke.exactalg import Polynomial, parse_polynomial
 
-from conftest import random_trace_point, shear_product, sl2_trace_point
+from conftest import compose, random_trace_point, shear_product, sl2_trace_point
 
 P = parse_polynomial
 
@@ -116,8 +116,8 @@ class TestSymbolicGenerators:
         for index in (1, 2, 3):
             forward = braid.generator_triple(index, 1)
             backward = braid.generator_triple(index, -1)
-            assert braid._compose(backward, forward) == identity_triple()
-            assert braid._compose(forward, backward) == identity_triple()
+            assert compose(backward, forward) == identity_triple()
+            assert compose(forward, backward) == identity_triple()
 
     def test_word_triple_matches_pointwise_action(self):
         # symbolic degrees triple per letter, so keep words short here

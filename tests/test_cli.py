@@ -1,6 +1,7 @@
 """Command parsing, execution, report emission, exit codes, and the schema."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -82,10 +83,19 @@ def run_main(argv, stdin_text=None, capsys=None):
     return code
 
 
-def validate_schema(report: dict):
+@functools.cache
+def schema_validator():
+    """One validator for the report schema, checked against its metaschema once
+    (``jsonschema.validate`` repeats that check on every call)."""
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(SCHEMA_PATH.read_text())
-    jsonschema.validate(report, schema)
+    validator_class = jsonschema.validators.validator_for(schema)
+    validator_class.check_schema(schema)
+    return validator_class(schema)
+
+
+def validate_schema(report: dict):
+    schema_validator().validate(report)
 
 
 class TestParseCommand:

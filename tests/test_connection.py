@@ -1,5 +1,6 @@
 """Holonomy, exponents, trace extraction, and the Painleve VI layer."""
 
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -18,8 +19,51 @@ P = parse_polynomial
 ZERO = np.zeros((2, 2), dtype=complex)
 
 
+# Residues X1, X2, X3 (X4 is minus their sum) of three seeded tuples of the
+# benchmark's holonomy workload, named seed/pass/tuple.  Their monodromy
+# entries reach 2e3, 7e2 and 3e3, so det rounding alone puts the cubic
+# residual near criterion 8's 1e-6.  With np.linalg.inv in the conjugation
+# moves and an unprojected A4 = inv(A1 A2 A3), the three-piece loops gave
+# 6.6e-6 on 19/23/31 and 9.7e-7 on 1/10/20, and two-piece loops gave 4.2e-6
+# on 19/23/31 and 1.25e-6 on 15/27/32.
+MARGINAL_RESIDUES = {
+    "19/23/31": (
+        [(-0.4574859038917266+0.023699016010466426j), (-0.4321937828514581-0.1347404635291833j),
+         (-0.19589536682407316+0.2438585945491359j), (0.4574859038917266-0.023699016010466426j)],
+        [(-0.04966991095273408-0.18694750155515732j), (-0.17138283089403897+0.17613595120399322j),
+         (-0.27005231309192873+0.04403230099281492j), (0.04966991095273408+0.18694750155515732j)],
+        [(-0.43068873235950333-0.041119208374912064j), (-0.14811128254865732+0.025477642412195908j),
+         (-0.4671189870347183-0.20264618286862124j), (0.43068873235950333+0.041119208374912064j)],
+    ),
+    "15/27/32": (
+        [(-0.2604793484595704+0.2593265992761038j), (-0.37696392743817736-0.34113142492550963j),
+         (-0.37257837032280106-0.07789985792417617j), (0.2604793484595704-0.2593265992761038j)],
+        [(-0.4078918344778839+0.041928954194068335j), (0.19224130467677294+0.008161541001153759j),
+         (0.10732663988216924-0.3136483486424933j), (0.4078918344778839-0.041928954194068335j)],
+        [(-0.2675320500142018-0.09124290009295877j), (-0.3411647986942006-0.0831533704754303j),
+         (-0.49854292453761256-0.05001447265300071j), (0.2675320500142018+0.09124290009295877j)],
+    ),
+    "1/10/20": (
+        [(-0.42979701529537967-0.13792972414223j), (-0.0850096758776621-0.10101262361095414j),
+         (0.14213746028385607+0.14746213421021948j), (0.42979701529537967+0.13792972414223j)],
+        [(-0.22544960033482628+0.02173618837096252j), (-0.06477581667418837-0.1642228285744539j),
+         (0.2816843790606357+0.21211075068462668j), (0.22544960033482628-0.02173618837096252j)],
+        [(-0.587255331462638+0.06617249383547384j), (0.18677628333591936+0.6028638235846475j),
+         (-0.0502453570851513-0.08635806391255621j), (0.587255331462638-0.06617249383547384j)],
+    ),
+}
+
+
 def diag(a, b):
     return np.diag([a, b]).astype(complex)
+
+
+def matrix_exp_traceless(m):
+    """exp of a traceless 2x2 matrix via the closed form cosh/sinh expansion."""
+    lam = cmath.sqrt(-complex(np.linalg.det(m)))
+    if abs(lam) < 1e-30:
+        return np.eye(2, dtype=complex) + m
+    return cmath.cosh(lam) * np.eye(2, dtype=complex) + (cmath.sinh(lam) / lam) * m
 
 
 def commuting_residue_tuple():
@@ -116,7 +160,7 @@ class TestHolonomy:
         residues = conn.ResidueTuple((x, -x, ZERO, ZERO))
         result = conn.holonomy(residues, conn.PunctureConfig(t), tol=1e-10)
         assert abs(result.a[0] - 2 * math.cos(math.pi * theta)) < 1e-8
-        closed_form = conn.matrix_exp_traceless(2j * math.pi * residues.X[0])
+        closed_form = matrix_exp_traceless(2j * math.pi * residues.X[0])
         assert np.max(np.abs(result.monodromy.A[0] - closed_form)) < 1e-8
 
     def test_zero_residues_give_identity(self):
@@ -135,6 +179,56 @@ class TestHolonomy:
             assert max(result.det_residuals) < 1e-8
             assert result.product_residual < 1e-8
             assert result.fricke_residual < 1e-6
+
+    @pytest.mark.parametrize("name", list(MARGINAL_RESIDUES))
+    def test_marginal_tuples_certify(self, name):
+        X = [np.array(entries, dtype=complex).reshape(2, 2) for entries in MARGINAL_RESIDUES[name]]
+        X.append(-(X[0] + X[1] + X[2]))
+        result = conn.holonomy(conn.ResidueTuple(tuple(X)),
+                               conn.PunctureConfig(0.3333333333333333), tol=1e-12)
+        expected = conn.exp_map(result.theta)
+        assert max(abs(x - e) for x, e in zip(result.a, expected)) < 1e-6
+        assert max(result.det_residuals) < 1e-6
+        assert result.product_residual < 1e-6
+        assert result.fricke_residual < 1e-6
+
+    @pytest.mark.parametrize("t", [F(1, 3), 0.35 + 0.6j], ids=["1/3", "0.35+0.6j"])
+    def test_two_piece_loops_match_three_piece_transport(self, monkeypatch, t):
+        # the first three det projections in holonomy are the loop monodromies;
+        # the oracle transports the way back out along the segment from the
+        # entry point to the basepoint instead of inverting the way in
+        projected = []
+
+        def recording_unimodular(m, unimodular=conn._unimodular):
+            projected.append(unimodular(m))
+            return projected[-1]
+
+        monkeypatch.setattr(conn, "_unimodular", recording_unimodular)
+        config = conn.PunctureConfig(t)
+        punctures = list(config.finite)
+        radius = min(abs(p - q) for p in punctures for q in punctures if p != q) / 4
+        basepoint = conn._choose_basepoint(punctures, radius)
+        rng = random.Random(2007)
+        for _ in range(3):
+            residues = sample_residue_tuple(rng)
+            projected.clear()
+            result = conn.holonomy(residues, config, tol=1e-12)
+            oracle = conn._Transporter(residues.X[:3], punctures, 1e-12)
+            for c, loop in zip(punctures, projected):
+                inbound, circle = conn._loop_pieces(basepoint, c, radius)
+                entry = inbound[0](1.0)
+                outbound = (lambda s: entry + s * (basepoint - entry), lambda s: basepoint - entry)
+                y = (1 + 0j, 0j, 0j, 1 + 0j)
+                for zfun, dzfun in (inbound, circle, outbound):
+                    y = oracle.run_piece(zfun, dzfun, y)
+                expected = np.array([[y[3], -y[1]], [-y[2], y[0]]])
+                expected /= cmath.sqrt(np.linalg.det(expected))
+                assert np.max(np.abs(loop - expected)) < 1e-9 * np.max(np.abs(expected))
+            if t == F(1, 3):
+                # steps depend only on the geometry: 3 x (6 in + 13 around),
+                # where the three-piece loop added 10 steps back out
+                assert result.steps == 57
+                assert oracle.steps == 87
 
     def test_complex_puncture_positions(self):
         rng = random.Random(77)
