@@ -42,7 +42,8 @@ from .groebner import (
 
 DEFAULT_ORBIT_CAP = 10_000
 
-_TRIPLE = tuple[Fraction, Fraction, Fraction]
+# pair traces; an orbit keeps them in ``int`` when its basepoint is integral
+_TRIPLE = tuple[Fraction | int, Fraction | int, Fraction | int]
 
 # which two involutions compose to each generator: tau_i = second after first
 _GENERATOR_FACTORS = {1: (3, 2), 2: (1, 3), 3: (2, 1)}
@@ -165,7 +166,12 @@ ORBIT_CAP_EXCEEDED = "cap-exceeded"
 
 @dataclass(frozen=True)
 class Orbit:
-    """Closure of a point's pair traces under all six signed generators."""
+    """Closure of a point's pair traces under all six signed generators.
+
+    ``points`` stay in the ring the search ran in: ``int`` when every
+    coordinate of the basepoint is integral, ``Fraction`` otherwise.  An
+    ``int`` compares and hashes equal to its ``Fraction``.
+    """
 
     basepoint: TracePoint
     points: tuple[_TRIPLE, ...]
@@ -216,7 +222,7 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
         frontier = sorted(next_frontier)
     return Orbit(
         basepoint=point,
-        points=tuple(tuple(map(Fraction, v)) for v in sorted(seen)),
+        points=tuple(sorted(seen)),
         status=status,
         frontier_sizes=tuple(sizes),
     )

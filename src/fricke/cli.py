@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import braid, groebner, pvi
 from .charvariety import TracePoint, classify
@@ -129,7 +130,8 @@ def _classify_result(point: TracePoint) -> dict:
 
 
 def _triple_json(v) -> list[str]:
-    return [format_rational(x) for x in v]
+    # str of an int or Fraction is its format_rational text
+    return list(map(str, v))
 
 
 def _inputs(args: argparse.Namespace) -> dict:
@@ -230,9 +232,51 @@ def execute(args: argparse.Namespace) -> dict:
     return report
 
 
+# the encoder json.dumps(..., indent=2, allow_nan=False) builds on every call,
+# and its C-backed twin without indent, which lays out a scalar the same way
+_JSON = json.JSONEncoder(indent=2, allow_nan=False)
+_JSON_SCALAR = json.JSONEncoder(allow_nan=False)
+
+
+def _render_json(value, indent: str, parts: list[str]) -> list[str]:
+    """Append the text of ``json.dumps(value, indent=2, allow_nan=False)``, at
+    depth ``indent``, to ``parts``, to be joined once.
+
+    Dicts, and arrays of non-empty string arrays (orbit points), are laid out
+    here with the C string encoder: ``indent`` makes ``json.dumps`` run its
+    pure-Python encoder, which is slow on large arrays.  Other arrays go to
+    that encoder, and scalars to the C one.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        opening = "{"
+        for key, item in value.items():
+            parts.append(f"{opening}\n{inner}{_encode_str(key)}: ")
+            _render_json(item, inner, parts)
+            opening = ","
+        parts.append(f"\n{indent}}}")
+        return parts
+    if isinstance(value, list) and value and all(isinstance(row, list) and row for row in value):
+        head, sep, tail = f",\n{inner}[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+        try:  # the C encoder takes only strings; other items go to json's encoder
+            rows = [head + sep.join(map(_encode_str, row)) + tail for row in value]
+        except TypeError:
+            pass
+        else:
+            rows[0] = "[" + rows[0][1:]  # the array opens where later rows have a comma
+            parts += rows
+            parts.append(f"\n{indent}]")
+            return parts
+    if isinstance(value, (dict, list, tuple)):
+        parts.append(_JSON.encode(value).replace("\n", "\n" + indent))
+    else:
+        parts.append(_JSON_SCALAR.encode(value))
+    return parts
+
+
 def emit_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, allow_nan=False)
+        return "".join(_render_json(report, "", []))
     lines = [f"command: {report['command']}", f"status: {report['status']}"]
     if report.get("message"):
         lines.append(f"message: {report['message']}")

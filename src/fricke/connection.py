@@ -113,10 +113,6 @@ class ResidueTuple:
         if float(np.max(np.abs(total))) > RESIDUE_TOL:
             raise ValueError(f"residues do not sum to zero (max entry {np.max(np.abs(total))})")
 
-    def conjugated(self, g: np.ndarray) -> "ResidueTuple":
-        ginv = np.linalg.inv(g)
-        return ResidueTuple(tuple(g @ m @ ginv for m in self.X))
-
     def to_json(self) -> dict:
         return {"X": [matrix_to_json(m) for m in self.X]}
 
@@ -192,15 +188,6 @@ def theta_of(residues: ResidueTuple) -> tuple[complex, complex, complex, complex
 def exp_map(theta: Sequence[complex]) -> tuple[complex, ...]:
     """Componentwise class exponential: theta -> 2 cos(pi theta)."""
     return tuple(2 * cmath.cos(math.pi * th) for th in theta)
-
-
-def is_resonant(theta: Sequence[complex], margin: float = 1e-9) -> bool:
-    """True when some exponent is within ``margin`` of a nonzero integer."""
-    for th in theta:
-        nearest = round(th.real)
-        if nearest != 0 and abs(th - nearest) < margin:
-            return True
-    return False
 
 
 # -- Taylor-series transport ---------------------------------------------------

@@ -26,6 +26,13 @@ def pvi_params(theta: Sequence) -> tuple:
     ``r1 = (th4-1)^2/2, r2 = -th1^2/2, r3 = th3^2/2, r4 = (1-th2^2)/2``:
     exact for rationals and polynomials, float or complex for float or
     complex exponents.
+
+    ``th1..th4`` are the exponents at the punctures ``(0, t, 1, infinity)``,
+    in Jimbo's order.  :mod:`fricke.connection` orders residues and
+    exponents ``(0, 1, t, infinity)``, so its middle two exponents swap
+    places when passed here.  ``r1`` needs the sign of ``th4``, the exponent
+    at infinity, which the nonnegative branch of
+    :func:`fricke.connection.theta_of` drops.
     """
     th1, th2, th3, th4 = theta
     half = Fraction(1, 2)

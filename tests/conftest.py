@@ -99,6 +99,15 @@ def random_traceless_matrix(rng: random.Random, scale: float) -> np.ndarray:
     return m
 
 
+def is_resonant(theta, margin: float = 1e-9) -> bool:
+    """True when some exponent is within ``margin`` of a nonzero integer."""
+    for th in theta:
+        nearest = round(th.real)
+        if nearest != 0 and abs(th - nearest) < margin:
+            return True
+    return False
+
+
 def sample_residue_tuple(rng: random.Random, scale: float = 0.2, im_cap: float = 0.25,
                          resonance_margin: float = 0.1):
     """Well-scaled non-resonant residue tuple (keeps trace coordinates O(100))."""
@@ -109,7 +118,7 @@ def sample_residue_tuple(rng: random.Random, scale: float = 0.2, im_cap: float =
         X.append(-(X[0] + X[1] + X[2]))
         residues = conn.ResidueTuple(tuple(X))
         theta = conn.theta_of(residues)
-        if conn.is_resonant(theta, margin=resonance_margin):
+        if is_resonant(theta, margin=resonance_margin):
             continue
         if max(abs(t.imag) for t in theta) > im_cap:
             continue

@@ -296,7 +296,8 @@ class TestIntegerPath:
                 continue
             orbit = braid.enumerate_orbit(point, cap=300)
             assert (orbit.points, orbit.status, orbit.frontier_sizes) == expected
-            assert all(type(x) is F for v in orbit.points for x in v)
+            # integral basepoints: the orbit stays in int, equal to the oracle's Fractions
+            assert all(type(x) is int for v in orbit.points for x in v)
             word = BraidWord(tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(6)))
             assert all(type(x) is F for x in braid.apply_word(word, point).v)
             checked += 1
@@ -307,6 +308,7 @@ class TestIntegerPath:
         orbit = braid.enumerate_orbit(point, cap=100)
         assert orbit.status == braid.ORBIT_COMPLETE
         assert orbit.points == ((F(1, 4), F(0), F(0)), (F(1), F(0), F(0)))
+        assert all(type(x) is F for v in orbit.points for x in v)
         assert orbit.frontier_sizes == (1, 1)
         assert classify(point).label == SU2
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fricke import braid, cli, groebner as gb
 from fricke.charvariety import V_VARS, TracePoint, classify
@@ -506,6 +507,93 @@ class TestMainAndExitCodes:
         assert (code, report["status"]) in ((0, "ok"), (2, "error"))
         assert report["inputs"] == {"gens": gens}
         validate_schema(report)
+
+
+# strings as orbit points hold them, and strings the C encoder must escape
+# (quotes, backslashes, controls, non-ASCII, lone surrogates)
+POINT_STRINGS = st.text(max_size=3) | st.sampled_from(
+    ("0", "-1", "1/4", "-12/7", '"', "\\", "\n\t", "\u00e9", "\ud800"))
+STRING_ROWS = st.lists(st.lists(POINT_STRINGS, max_size=4), max_size=5)
+# report-shaped nests: dicts with string keys (and some keys json.dumps must
+# convert or refuse) over JSON values and arrays of string arrays
+RENDER_VALUES = st.recursive(
+    JSON_VALUES | STRING_ROWS,
+    lambda inner: st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.none() | st.booleans() | st.integers() | st.floats(), inner, max_size=2)
+    | st.lists(inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def rendered_or_error(render, value):
+    try:
+        return render(value)
+    except Exception as err:  # noqa: BLE001 - the exception type is compared
+        return type(err)
+
+
+class TestReportRendering:
+    """``emit_report`` lays out JSON itself; it must give ``json.dumps``'s text."""
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, indent=2, allow_nan=False)
+
+    @staticmethod
+    def render(value, indent=""):
+        return "".join(cli._render_json(value, indent, []))
+
+    @settings(max_examples=300)
+    @given(RENDER_VALUES)
+    @example(float("nan"))
+    @example({"x": [1.5, float("inf")], "y": -float("inf")})
+    @example({"pair": (1, ["2"]), "rows": (["3"],)})  # tuples are arrays to json
+    def test_renderer_matches_json_dumps(self, value):
+        assert rendered_or_error(self.render, value) == rendered_or_error(self.dumps, value)
+
+    @given(STRING_ROWS, st.sampled_from(("", "  ", "    ")))
+    def test_string_rows_match_json_dumps_at_any_depth(self, rows, indent):
+        want = self.dumps(rows).replace("\n", "\n" + indent)
+        assert self.render(rows, indent) == want
+
+    @pytest.mark.parametrize("argv, status", [
+        (["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap", "4"], "cap-exceeded"),
+        (["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap", "200"], "cap-exceeded"),
+        (["orbit", "--a", "1,-1,-1,-1", "--v", "0,1,0"], "ok"),
+        (["orbit", "--a=-3/2,-3/2,-1,1", "--v=1,0,0"], "ok"),
+        (["classify", "--a", "2,2,2,2", "--v", "2,2,2"], "ok"),
+        (["fixed-points", "--gens", "t2;t1t1;t3t3", "--a=-3,-3,2,2"], "ok"),
+        (["family-check", "--theta0", "1/3,2/3,2/3,2/3", "--family", "tetrahedral-two-point",
+          "--member", "th1^2"], "ok"),
+    ])
+    def test_json_report_is_json_dumps(self, capsys, argv, status):
+        report = cli.execute(cli.parse_command(argv))
+        assert report["status"] == status
+        assert cli.emit_report(report, "json") == json.dumps(report, indent=2)
+        run_main(argv)
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    def test_orbit_json_is_pinned(self, capsys):
+        # the report the json.dumps renderer printed for this command
+        code = run_main(["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap", "4"])
+        out = capsys.readouterr().out.encode()
+        assert code == 1
+        assert hashlib.sha256(out).hexdigest() == (
+            "805a143e918b8838e0f602a3679cd058e82cfb086fa6d1d6f4a4bbbae7f6a59f")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["orbit", "--a=-3/2,-3/2,-1,1", "--v=1,0,0"],
+         "command: orbit\nstatus: ok\nsize: 2\nstatus: complete\npoints:\n"
+         "  -\n    - 1/4\n    - 0\n    - 0\n  -\n    - 1\n    - 0\n    - 0\n"
+         "frontier_sizes:\n  - 1\n  - 1\n"),
+        (["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap", "2"],
+         "command: orbit\nstatus: cap-exceeded\nsize: 2\nstatus: cap-exceeded\npoints:\n"
+         "  -\n    - -2\n    - 3\n    - 3\n  -\n    - 1\n    - 2\n    - 3\n"
+         "frontier_sizes:\n  - 1\n  - 3\n"),
+    ])
+    def test_orbit_text_format_unchanged(self, capsys, argv, expected):
+        run_main(argv + ["--format", "text"])
+        assert capsys.readouterr().out == expected
 
 
 def fresh_interpreter(code: str) -> str:
