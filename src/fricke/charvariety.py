@@ -7,9 +7,9 @@ is written once, in :func:`cubic_value`, over any ring: it evaluates exact
 points and complex holonomy traces, and at the variables themselves it is the
 polynomial :func:`fricke_cubic`.  A real point is a unitary (SU(2)) class
 exactly when all ``a_i`` lie in ``[-2, 2]`` and the two trace intervals
-``I(a1,a2)`` and ``I(a3,a4)`` meet; interval endpoints are quadratic surds,
-and all comparisons here are exact (no floating point anywhere in this
-module).
+``I(a1,a2)`` and ``I(a3,a4)`` meet.  That test is written once too, in
+:func:`su2_label`, over any ring and with no square root: integer sign tests
+decide it in ``int``, in ``Fraction`` and, with slack, in ``float``.
 """
 
 from __future__ import annotations
@@ -159,12 +159,12 @@ class QuadraticNumber:
         object.__setattr__(self, "q", Fraction(self.q))
         if self.q < 0:
             raise ValueError("negative radicand")
+        if self.s not in (-1, 0, 1):
+            raise ValueError("sign must be -1, 0 or 1")
         if self.q == 0 and self.s != 0:
             object.__setattr__(self, "s", 0)
         if self.s == 0 and self.q != 0:
             object.__setattr__(self, "q", Fraction(0))
-        if self.s not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0 or 1")
 
     def compare(self, other: "QuadraticNumber") -> int:
         """Exact three-way comparison, by sign analysis with at most two squarings."""
@@ -249,11 +249,15 @@ def trace_interval(s: Fraction, t: Fraction) -> AlgebraicInterval:
     return AlgebraicInterval(center, radicand)
 
 
+def _reach(gap, one, two) -> bool:
+    """``gap <= sqrt(one) + sqrt(two)`` for nonnegative inputs, squared twice."""
+    excess = gap * gap - one - two
+    return excess <= 0 or excess * excess <= 4 * one * two
+
+
 def intervals_intersect(one: AlgebraicInterval, two: AlgebraicInterval) -> bool:
-    """Exact closed-interval intersection test (tangency counts)."""
-    lower = one.lower if two.lower < one.lower else two.lower
-    upper = one.upper if one.upper < two.upper else two.upper
-    return lower <= upper
+    """Exact closed-interval intersection test (tangency counts): |c1 - c2| <= r1 + r2."""
+    return _reach(abs(one.center - two.center), one.radicand, two.radicand)
 
 
 # -- classification -----------------------------------------------------------
@@ -281,24 +285,28 @@ class ClassLabel:
         }
 
 
+def su2_label(a: Sequence, tol=0) -> ClassLabel:
+    """The unitarity test on real boundary traces, in their own ring: every
+    ``|a_i| <= 2 + tol`` (``box``), and ``I(s1,s2)``, ``I(s3,s4)`` meet within
+    ``tol`` (``overlap``), ``s_i`` being ``a_i`` clamped to [-2, 2]; doubled,
+    ``|s1 s2 - s3 s4| <= sqrt((4-s1^2)(4-s2^2)) + sqrt((4-s3^2)(4-s4^2)) + 2 tol``."""
+    if not all(abs(x) <= 2 + tol for x in a):
+        return ClassLabel(label=SL2R, real=True, box=False, overlap=None)
+    s1, s2, s3, s4 = (min(2, max(-2, x)) for x in a)
+    gap = max(abs(s1 * s2 - s3 * s4) - 2 * tol, 0)
+    overlap = _reach(gap, (4 - s1 * s1) * (4 - s2 * s2), (4 - s3 * s3) * (4 - s4 * s4))
+    return ClassLabel(label=SU2 if overlap else SL2R, real=True, box=True, overlap=overlap)
+
+
 def classify(point: TracePoint) -> ClassLabel:
     """Decide SU(2) vs SL(2,R) for an exact on-variety point.
 
-    The input is rational, hence real; SU2 requires all boundary traces in
-    [-2, 2] and the two trace intervals to meet (decided exactly).  Points off
-    the variety are refused: there is no representation to classify.
+    The input is rational, hence real: the label is :func:`su2_label` of its
+    boundary traces.  Points off the variety are refused.
     """
     value = point.cubic_value()
     if value != 0:
         raise OffVarietyError(
             f"point is not on the variety (cubic value {format_rational(value)})"
         )
-    box = all(abs(x) <= 2 for x in point.a)
-    overlap: bool | None = None
-    if box:
-        overlap = intervals_intersect(
-            trace_interval(point.a[0], point.a[1]),
-            trace_interval(point.a[2], point.a[3]),
-        )
-    label = SU2 if (box and overlap) else SL2R
-    return ClassLabel(label=label, real=True, box=box, overlap=overlap)
+    return su2_label(integral(point.a))

@@ -11,8 +11,9 @@ holds with ``A4 = (A1 A2 A3)^-1`` conjugate to the monodromy at infinity.
 Orientation convention: loops are counterclockwise and transports are
 inverted, so for commuting residues ``A1 = exp(2 pi i X1)``.
 
-All floating-point and complex arithmetic of the package lives in this module,
-and it is the only one that imports numpy; everything upstream is exact.  The
+This is the only module that imports numpy, and everything upstream of it is
+exact: floats reach the ring-generic :func:`cubic_value` and
+:func:`su2_label` of :mod:`fricke.charvariety` only from here.  The
 exact names of the Painleve VI layer (``THETA_VARS``, ``pvi_params``,
 ``family_constraints``, ``FAMILY_CONSTRAINT_SETS``) and ``DEFAULT_HOLONOMY_TOL``
 live in :mod:`fricke.pvi` and are re-exported here, so the exact subcommands
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charvariety import NON_REAL, SL2R, SU2, ClassLabel, cubic_value
+from .charvariety import NON_REAL, ClassLabel, cubic_value, su2_label
 from .pvi import (  # noqa: F401 - re-exported
     DEFAULT_HOLONOMY_TOL,
     FAMILY_CONSTRAINT_SETS,
@@ -433,30 +434,13 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
 # -- approximate classification for complex trace data -------------------------
 
 def classify_numeric(a: Sequence[complex], v: Sequence[complex], tol: float = 1e-8) -> ClassLabel:
-    """Float version of the unitarity test for holonomy output.
-
-    Real within ``tol`` plus the box and interval conditions (evaluated in
-    floating point with ``tol`` slack) gives SU2; real but failing gives SL2R;
-    otherwise NonReal.
-    """
+    """The unitarity test for holonomy output: NonReal unless every trace is
+    real within ``tol``, else :func:`su2_label` of the real parts, the exact
+    rule's integer sign tests run in floats with ``tol`` slack."""
     real = all(abs(x.imag) <= tol for x in a) and all(abs(x.imag) <= tol for x in v)
     if not real:
         return ClassLabel(label=NON_REAL, real=False, box=False, overlap=None)
-    ar = [x.real for x in a]
-    box = all(abs(x) <= 2 + tol for x in ar)
-    overlap = None
-    if box:
-        def endpoints(s: float, t: float) -> tuple[float, float]:
-            s = min(2.0, max(-2.0, s))
-            t = min(2.0, max(-2.0, t))
-            half = math.sqrt(max(0.0, (s * s - 4) * (t * t - 4))) / 2
-            return s * t / 2 - half, s * t / 2 + half
-
-        lo1, hi1 = endpoints(ar[0], ar[1])
-        lo2, hi2 = endpoints(ar[2], ar[3])
-        overlap = max(lo1, lo2) <= min(hi1, hi2) + tol
-    label = SU2 if (box and overlap) else SL2R
-    return ClassLabel(label=label, real=True, box=box, overlap=overlap)
+    return su2_label([x.real for x in a], tol)
 
 
 # -- Painleve VI layer ----------------------------------------------------------

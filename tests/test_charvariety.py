@@ -1,5 +1,6 @@
 """Trace cubic, exact interval arithmetic, and the unitarity classification."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -15,14 +16,47 @@ from fricke.charvariety import (
     classify,
     cubic_value,
     fricke_cubic,
+    integral,
     intervals_intersect,
     on_variety,
     sqrt_expr_sign,
+    su2_label,
+    trace_coefficients,
     trace_interval,
 )
 from fricke.exactalg import Polynomial
 
-from conftest import random_trace_point
+from conftest import random_trace_point, shear_product, sl2_trace_point
+
+HALF_INTEGER_BOX = [F(k, 2) for k in range(-4, 5)]
+
+
+def endpoints_meet(one: AlgebraicInterval, two: AlgebraicInterval) -> bool:
+    """Closed intervals meet when the larger lower surd endpoint is at most
+    the smaller upper one, compared as ``QuadraticNumber`` values."""
+    return max(one.lower, two.lower) <= min(one.upper, two.upper)
+
+
+def surd_label(a) -> tuple:
+    """(class, box, overlap) from the surd endpoints of I(a1,a2) and I(a3,a4)."""
+    if any(abs(x) > 2 for x in a):
+        return "SL2R", False, None
+    overlap = endpoints_meet(trace_interval(a[0], a[1]), trace_interval(a[2], a[3]))
+    return ("SU2" if overlap else "SL2R"), True, overlap
+
+
+def point_over(a) -> TracePoint:
+    """A rational point of the variety over any rational boundary traces ``a``.
+
+    At ``v1 = 5/2`` the quadratic part of the cubic in (v2, v3) factors as
+    ``(v2 + 2 v3)(v2 + v3/2)``, so on a line ``v2 + 2 v3 = u`` the cubic is
+    linear in ``v3``; its slope is ``2 p2 - p3 - 3u/2``, nonzero at u = 0 or 1.
+    """
+    a = tuple(F(x) for x in a)
+    _, p2, p3 = trace_coefficients(a)
+    u = 0 if 2 * p2 != p3 else 1
+    v3 = -cubic_value(a, (F(5, 2), u, 0)) / (2 * p2 - p3 - F(3, 2) * u)
+    return TracePoint(a, (F(5, 2), u - 2 * v3, v3))
 
 
 class TestCubic:
@@ -91,6 +125,14 @@ class TestOnVariety:
 
 
 class TestQuadraticNumbers:
+    def test_bad_sign_is_refused_whatever_the_radicand(self):
+        for q in (F(0), F(2)):
+            with pytest.raises(ValueError, match="sign must be -1, 0 or 1"):
+                QuadraticNumber(F(1), 5, q)
+
+    def test_zero_radicand_drops_a_good_sign(self):
+        assert QuadraticNumber(F(1), -1, F(0)) == QuadraticNumber(F(1), 0, F(0))
+
     def test_sqrt_expr_sign(self):
         assert sqrt_expr_sign(F(-1), 1, F(2)) == 1      # sqrt(2) > 1
         assert sqrt_expr_sign(F(-2), 1, F(2)) == -1     # sqrt(2) < 2
@@ -168,6 +210,21 @@ class TestIntervals:
             flipped = trace_interval(t, s)
             assert interval == flipped
 
+    def test_intersection_matches_surd_endpoints(self):
+        # square radicands make rational endpoints, so many pairs are tangent
+        rng = random.Random(23)
+        tangent = 0
+        for _ in range(3000):
+            one, two = (
+                AlgebraicInterval(F(rng.randint(-9, 9), rng.randint(1, 4)),
+                                  rng.choice((F(rng.randint(0, 30), rng.randint(1, 4)),
+                                              F(rng.randint(0, 6), rng.randint(1, 3)) ** 2)))
+                for _ in range(2)
+            )
+            assert intervals_intersect(one, two) == endpoints_meet(one, two), (one, two)
+            tangent += one.upper.compare(two.lower) == 0 or two.upper.compare(one.lower) == 0
+        assert tangent > 20
+
     def test_matches_angle_addition(self):
         # with s = 2cos(alpha), t = 2cos(beta) the endpoints are
         # 2cos(alpha +/- beta); cross-validates the exact code numerically
@@ -238,6 +295,68 @@ class TestClassify:
             tested += 1
             assert classify(point).label == classify(swapped).label
         assert tested > 50
+
+
+class TestSu2Label:
+    """``su2_label`` against the surd endpoint comparison it replaced."""
+
+    @staticmethod
+    def flags(label) -> tuple:
+        return label.label, label.box, label.overlap
+
+    def test_half_integer_box_matches_surd_endpoints(self):
+        # every boundary in the half-integer grid of [-2, 2]^4, tangencies
+        # included, in Fraction, in int where integral, and through classify
+        # (which also checks that point_over lies on the variety)
+        counts = {"SU2": 0, "SL2R": 0}
+        for a in itertools.product(HALF_INTEGER_BOX, repeat=4):
+            want = surd_label(a)
+            assert self.flags(su2_label(a)) == want, a
+            assert self.flags(su2_label(integral(a))) == want, a
+            assert self.flags(classify(point_over(a))) == want, a
+            counts[want[0]] += 1
+        assert min(counts.values()) > 500
+
+    def test_classify_matches_surd_endpoints_at_random_rationals(self):
+        rng = random.Random(29)
+        outside = 0
+        for _ in range(400):
+            a = tuple(F(rng.randint(-15, 15), rng.randint(1, 6)) for _ in range(4))
+            label = classify(point_over(a))
+            assert self.flags(label) == surd_label(a), a
+            outside += not label.box
+        assert outside > 50
+
+    def test_classify_matches_surd_endpoints_at_sl2_points(self):
+        # integral points from SL2(Z) quadruples, and rational ones from
+        # rational shears
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(400):
+            point = random_trace_point(rng)
+            shears = [[(F(rng.randint(-4, 4), rng.randint(1, 3)), rng.random() < 0.5)
+                       for _ in range(rng.randint(1, 3))] for _ in range(3)]
+            for point in (point, sl2_trace_point(*map(shear_product, shears))):
+                label = classify(point)
+                assert self.flags(label) == surd_label(point.a), point
+                seen.add(self.flags(label))
+        assert seen == {("SU2", True, True), ("SL2R", True, False), ("SL2R", False, None)}
+
+    @pytest.mark.parametrize("a, flags", [
+        ((1, -1, -1, -1), ("SU2", True, True)),
+        ((2, 2, 1, -1), ("SL2R", True, False)),
+        ((2, 2, 2, 2), ("SU2", True, True)),
+        ((3, 0, 0, 0), ("SL2R", False, None)),
+    ])
+    def test_same_label_in_every_ring(self, a, flags):
+        for ring in (int, F, float):
+            assert self.flags(su2_label(tuple(map(ring, a)))) == flags
+
+    def test_slack_widens_box_and_gap(self):
+        # I(2,2) = [2, 2] lies 1 above I(1,-1) = [-2, 1]
+        assert self.flags(su2_label((2, 2, 1, -1), tol=1)) == ("SU2", True, True)
+        assert self.flags(su2_label((2, 2, 1, -1), tol=F(99, 100))) == ("SL2R", True, False)
+        assert self.flags(su2_label((F(9, 4), 2, 2, 2), tol=F(1, 4))) == ("SU2", True, True)
 
 
 class TestTracePointJson:

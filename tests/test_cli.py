@@ -37,6 +37,15 @@ COMMUTING_RESIDUES = {
     ]
 }
 
+# comma-separated trace tokens: rationals, tokens the parser must refuse
+# (1/0, 1.5, nan, empty) and huge integers
+NUMBER_TOKENS = st.integers(-3, 3).map(str) | st.fractions(-3, 3, max_denominator=4).map(str)
+ODD_TOKENS = st.sampled_from(("1/0", "0/0", "1.5", "nan", "inf", "", " ", "x", "+1", "1/-2",
+                              str(10**40), str(-10**40)))
+CAP_TEXT = st.integers(-2, 50).map(str) | st.sampled_from(("", "x", "1.5", "1e2"))
+# points of the variety, so that some fuzzed runs classify and search an orbit
+VARIETY_POINTS = (("1,-1,-1,-1", "0,1,0"), ("2,2,2,2", "2,2,2"), ("-2,-2,-2,-2", "1,2,3"),
+                  ("-3/2,-3/2,-1,1", "1,0,0"), ("0,0,0,0", "6/5,8/5,0"), ("4,2,2,10", "6,3,5"))
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
 # at most 12 leaves: a residue tuple needs 32 numbers, so none of these is one
 JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=5)
@@ -69,6 +78,30 @@ def malformed_residues(draw):
     else:
         mats[i][j][k] = draw(st.sampled_from((float("nan"), float("inf"), -float("inf"), 10**400)))
     return {"X": mats}
+
+
+@st.composite
+def trace_argv(draw):
+    """``classify`` or ``orbit`` argv whose ``--a``/``--v`` (either may be
+    missing) and orbit ``--cap`` (at most 50) are fuzzed text, or a point of
+    the variety; a value in its own argv item that starts with ``-`` is one
+    argparse refuses."""
+    command = draw(st.sampled_from(("classify", "orbit")))
+    argv = [command]
+    point = draw(st.none() | st.sampled_from(VARIETY_POINTS))
+    tokens = draw(st.sampled_from((NUMBER_TOKENS, NUMBER_TOKENS | ODD_TOKENS)))
+    for k, (flag, count) in enumerate((("--a", 4), ("--v", 3))):
+        if point:
+            text = point[k]
+        elif draw(st.integers(0, 5)):
+            size = draw(st.sampled_from((count, count, count, count - 1, count + 1, 0)))
+            text = ",".join(draw(st.lists(tokens, min_size=size, max_size=size)))
+        else:
+            continue
+        argv += draw(st.sampled_from(([f"{flag}={text}"], [flag, text])))
+    if command == "orbit":
+        argv.append(f"--cap={draw(CAP_TEXT)}")
+    return argv
 
 
 def run_main(argv, stdin_text=None, capsys=None):
@@ -508,6 +541,26 @@ class TestMainAndExitCodes:
         assert report["inputs"] == {"gens": gens}
         validate_schema(report)
 
+    @settings(max_examples=200)
+    @given(trace_argv())
+    @example(["classify", "--a=2,2,2,2", "--v=2,2,2"])
+    @example(["classify", "--a", "-1,1,1,1", "--v", "0,1,0"])
+    @example(["orbit", "--a=1,-1,-1,-1", "--v=0,1,0", "--cap=50"])
+    @example(["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap=4"])
+    def test_trace_argv_fuzz_gives_a_report(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+            try:
+                cli.parse_command(argv)
+            except SystemExit:
+                assert (code, out.getvalue()) == (2, ""), argv  # argparse's usage error
+                return
+        report = json.loads(out.getvalue())
+        assert (code, report["status"]) in ((0, "ok"), (1, "cap-exceeded"), (2, "error")), report
+        assert "Traceback" not in report.get("message", "") and not err.getvalue()
+        validate_schema(report)
+
 
 # strings as orbit points hold them, and strings the C encoder must escape
 # (quotes, backslashes, controls, non-ASCII, lone surrogates)
@@ -580,6 +633,22 @@ class TestReportRendering:
         assert code == 1
         assert hashlib.sha256(out).hexdigest() == (
             "805a143e918b8838e0f602a3679cd058e82cfb086fa6d1d6f4a4bbbae7f6a59f")
+
+    @pytest.mark.parametrize("argv, flags, digest", [
+        (["classify", "--a", "1,-1,-1,-1", "--v", "0,1,0"], ("SU2", True, True),
+         "d663112f27e0fbb38179b912875889297298133f57e675bf5434db9c2359df99"),
+        (["classify", "--a", "2,2,2,2", "--v", "2,2,2"], ("SU2", True, True),
+         "2a69e791d18cb6778c0560049a51741146511ccf14d940a84f84c7de3d73b736"),
+        (["classify", "--a", "4,2,2,10", "--v", "6,3,5"], ("SL2R", False, None),
+         "99dce8a8133f07b4eefa1d43efa7dd8be54503d9cef1e3daee9cca4bd285836f"),
+    ], ids=["tetrahedral", "tangent", "outside-box"])
+    def test_classify_json_is_pinned(self, capsys, argv, flags, digest):
+        # the reports the surd endpoint comparison printed for these points
+        assert run_main(argv) == 0
+        out = capsys.readouterr().out
+        result = json.loads(out)["result"]
+        assert (result["class"], result["box"], result["overlap"]) == flags
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("argv, expected", [
         (["orbit", "--a=-3/2,-3/2,-1,1", "--v=1,0,0"],

@@ -1,6 +1,7 @@
 """Holonomy, exponents, trace extraction, and the Painleve VI layer."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -308,7 +309,59 @@ class TestTraces:
         assert result.fricke_residual < 1e-8
 
 
+def sqrt_endpoint_label(a, tol=1e-8) -> tuple:
+    """(class, box, overlap) of real boundary traces from float interval
+    endpoints ``st/2 -/+ sqrt((s^2-4)(t^2-4))/2``, traces clamped to [-2, 2]."""
+    if not all(abs(x) <= 2 + tol for x in a):
+        return "SL2R", False, None
+
+    def endpoints(s, t):
+        s, t = min(2.0, max(-2.0, s)), min(2.0, max(-2.0, t))
+        half = math.sqrt(max(0.0, (s * s - 4) * (t * t - 4))) / 2
+        return s * t / 2 - half, s * t / 2 + half
+
+    (lo1, hi1), (lo2, hi2) = endpoints(a[0], a[1]), endpoints(a[2], a[3])
+    overlap = max(lo1, lo2) <= min(hi1, hi2) + tol
+    return ("SU2" if overlap else "SL2R"), True, overlap
+
+
+def numeric_flags(a, v=(0, 0, 0)) -> tuple:
+    label = conn.classify_numeric(a, v)
+    return label.label, label.box, label.overlap
+
+
 class TestNumericClassification:
+    def test_random_floats_match_sqrt_endpoints(self):
+        rng = random.Random(37)
+        counts = {}
+        for _ in range(20000):
+            a = [rng.uniform(-2.1, 2.1) for _ in range(4)]
+            want = sqrt_endpoint_label(a)
+            assert numeric_flags(a) == want, a
+            counts[want] = counts.get(want, 0) + 1
+        assert len(counts) == 3 and min(counts.values()) > 1000
+
+    @pytest.mark.parametrize("eps", [0, 1e-12, -1e-12, 1e-9, -1e-9])
+    def test_perturbed_half_integers_match_sqrt_endpoints(self, eps):
+        # tangencies and box corners sit on the half-integer grid; each
+        # boundary is moved by eps along all four axes and along one seeded
+        # sign pattern
+        rng = random.Random(41)
+        for a in itertools.product([k / 2 for k in range(-4, 5)], repeat=4):
+            pattern = [rng.choice((-1, 0, 1)) for _ in a]
+            for moved in ([x + eps for x in a], [x + s * eps for x, s in zip(a, pattern)]):
+                assert numeric_flags(moved) == sqrt_endpoint_label(moved), moved
+
+    def test_complex_input_reads_the_real_parts(self):
+        rng = random.Random(43)
+        for _ in range(2000):
+            a = [complex(rng.uniform(-2.1, 2.1), rng.uniform(-2e-8, 2e-8)) for _ in range(4)]
+            v = [complex(rng.uniform(-3, 3), rng.uniform(-2e-8, 2e-8)) for _ in range(3)]
+            if max(abs(x.imag) for x in a + v) > 1e-8:
+                assert numeric_flags(a, v) == ("NonReal", False, None)
+            else:
+                assert numeric_flags(a, v) == sqrt_endpoint_label([x.real for x in a])
+
     def test_unitary_data(self):
         label = conn.classify_numeric((1, -1, -1, -1), (0, 1, 0))
         assert label.label == "SU2"
