@@ -8,9 +8,10 @@ generator factors into two of the root-swap involutions
 of the cubic, which is monic quadratic in each ``vj``; this is why the inverse
 maps are again polynomial.  Words are strings over ``t1 t2 t3`` (capitals for
 inverses).  The action is written once, over any ring: on exact trace points
-it is the pointwise map, run in ``int`` when every coordinate is integral (the
-maps have integer coefficients) and in ``Fraction`` otherwise, and the
-symbolic images of ``(v1, v2, v3)`` are the same map run on polynomials.
+it is the pointwise map, run in the ring the :class:`TracePoint` holds (``int``
+at an integral point; the maps have integer coefficients, so it stays there),
+and the symbolic images of ``(v1, v2, v3)`` are the same map run on
+polynomials.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .charvariety import (
     V_POLYS,
     V_VARS,
     cubic_value,
-    integral,
-    on_variety,
     trace_coefficients,
 )
 from .exactalg import Polynomial
@@ -42,17 +41,13 @@ from .groebner import (
 
 DEFAULT_ORBIT_CAP = 10_000
 
-# pair traces; an orbit keeps them in ``int`` when its basepoint is integral
+# pair traces, in the ring of the point they came from
 _TRIPLE = tuple[Fraction | int, Fraction | int, Fraction | int]
 
 # which two involutions compose to each generator: tau_i = second after first
 _GENERATOR_FACTORS = {1: (3, 2), 2: (1, 3), 3: (2, 1)}
 # positions of the two pair traces besides the j-th (0-based)
 _OTHER_TWO = ((1, 2), (0, 2), (0, 1))
-
-
-class OffVarietyInputError(ValueError):
-    """Braid maps act on representation classes, which live on the cubic only."""
 
 
 @dataclass(frozen=True)
@@ -140,11 +135,10 @@ def apply_letter(a: Sequence[Fraction], v: _TRIPLE, index: int, sign: int) -> _T
 
 
 def apply_word(word: BraidWord, point: TracePoint) -> TracePoint:
-    """Apply a word letters-first-to-last to an exact on-variety point."""
-    if not on_variety(point):
-        raise OffVarietyInputError(f"point {point.to_json()} is not on the variety")
-    coords = integral(point.a + point.v)
-    return TracePoint(point.a, _act(coords[:4], coords[4:], word.letters))
+    """Apply a word letters-first-to-last to an exact on-variety point; the
+    image is in the point's ring."""
+    point.require_on_variety()
+    return TracePoint(point.a, _act(point.a, point.v, word.letters))
 
 
 @lru_cache(maxsize=256)
@@ -168,9 +162,9 @@ ORBIT_CAP_EXCEEDED = "cap-exceeded"
 class Orbit:
     """Closure of a point's pair traces under all six signed generators.
 
-    ``points`` stay in the ring the search ran in: ``int`` when every
-    coordinate of the basepoint is integral, ``Fraction`` otherwise.  An
-    ``int`` compares and hashes equal to its ``Fraction``.
+    ``points`` are in the basepoint's ring, which the search runs in:
+    ``int`` at an integral basepoint, ``Fraction`` otherwise.  An ``int``
+    compares and hashes equal to its ``Fraction``.
     """
 
     basepoint: TracePoint
@@ -191,12 +185,10 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
     """
     if cap <= 0:
         raise ValueError("orbit cap must be positive")
-    if not on_variety(point):
-        raise OffVarietyInputError(f"point {point.to_json()} is not on the variety")
-    coords = integral(point.a + point.v)
-    p = trace_coefficients(coords[:4])
-    seen: set[tuple] = {coords[4:]}
-    frontier: list[tuple] = [coords[4:]]
+    point.require_on_variety()
+    p = trace_coefficients(point.a)
+    seen: set[tuple] = {point.v}
+    frontier: list[tuple] = [point.v]
     sizes: list[int] = [1]
     status = ORBIT_COMPLETE
     while frontier:

@@ -10,6 +10,11 @@ exactly when all ``a_i`` lie in ``[-2, 2]`` and the two trace intervals
 ``I(a1,a2)`` and ``I(a3,a4)`` meet.  That test is written once too, in
 :func:`su2_label`, over any ring and with no square root: integer sign tests
 decide it in ``int``, in ``Fraction`` and, with slack, in ``float``.
+
+An exact :class:`TracePoint` picks its ring once, when it is built: ``int``
+when every coordinate is integral, ``Fraction`` otherwise, so the cubic, the
+label and the braid action all run in that ring.  It also owns the one
+refusal of a point off the variety, :meth:`TracePoint.require_on_variety`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactalg import Polynomial, format_rational, parse_rational
+from .exactalg import Polynomial, parse_rational
 
 A_VARS = ("a1", "a2", "a3", "a4")
 V_VARS = ("v1", "v2", "v3")
@@ -27,7 +32,7 @@ ALL_VARS = A_VARS + V_VARS
 
 
 class OffVarietyError(ValueError):
-    """Classification was requested for a point with nonzero cubic value."""
+    """A braid map or the unitarity test was given a point with nonzero cubic value."""
 
 
 A_POLYS = tuple(Polynomial.variable(n) for n in A_VARS)
@@ -38,13 +43,6 @@ def trace_coefficients(a: Sequence) -> tuple:
     """The linear-coefficient data (p1, p2, p3) of the cubic at fixed a."""
     a1, a2, a3, a4 = a
     return (a1 * a2 + a3 * a4, a1 * a4 + a2 * a3, a1 * a3 + a2 * a4)
-
-
-def integral(values: Sequence) -> tuple:
-    """The values as ``int`` when every denominator is 1, else unchanged."""
-    if all(x.denominator == 1 for x in values):
-        return tuple(x.numerator for x in values)
-    return tuple(values)
 
 
 def cubic_value(a: Sequence, v: Sequence):
@@ -69,31 +67,43 @@ def fricke_cubic() -> Polynomial:
 
 @dataclass(frozen=True)
 class TracePoint:
-    """An exact point (a, v) of the trace coordinates."""
+    """An exact point (a, v) of the trace coordinates, in one ring.
 
-    a: tuple[Fraction, Fraction, Fraction, Fraction]
-    v: tuple[Fraction, Fraction, Fraction]
+    All seven coordinates are ``int`` when every one is integral, and
+    ``Fraction`` otherwise; an ``int`` compares and hashes equal to its
+    ``Fraction``.  Everything computed from the point runs in that ring.
+    """
+
+    a: tuple[int, int, int, int] | tuple[Fraction, Fraction, Fraction, Fraction]
+    v: tuple[int, int, int] | tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
-        if len(self.a) != 4 or len(self.v) != 3:
+        a, v = tuple(map(Fraction, self.a)), tuple(map(Fraction, self.v))
+        if len(a) != 4 or len(v) != 3:
             raise ValueError("a trace point needs 4 boundary traces and 3 pair traces")
+        if all(x.denominator == 1 for x in a + v):
+            a, v = tuple(x.numerator for x in a), tuple(x.numerator for x in v)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "v", v)
 
-    def assignment(self) -> dict[str, Fraction]:
+    def assignment(self) -> dict[str, int | Fraction]:
         out = dict(zip(A_VARS, self.a))
         out.update(zip(V_VARS, self.v))
         return out
 
-    def cubic_value(self) -> Fraction:
-        coords = integral(self.a + self.v)
-        return Fraction(cubic_value(coords[:4], coords[4:]))
+    def cubic_value(self) -> int | Fraction:
+        """The Fricke cubic at the point, in the point's ring."""
+        return cubic_value(self.a, self.v)
+
+    def require_on_variety(self) -> None:
+        """Refuse a point off the variety: braid maps and the unitarity test
+        act on representation classes, which lie on the cubic only."""
+        value = self.cubic_value()
+        if value != 0:
+            raise OffVarietyError(f"point is not on the variety (cubic value {value})")
 
     def to_json(self) -> dict:
-        return {
-            "a": [format_rational(x) for x in self.a],
-            "v": [format_rational(x) for x in self.v],
-        }
+        return {"a": list(map(str, self.a)), "v": list(map(str, self.v))}
 
     @staticmethod
     def from_json(data: dict) -> "TracePoint":
@@ -205,9 +215,9 @@ class QuadraticNumber:
 
     def __str__(self) -> str:
         if self.s == 0:
-            return format_rational(self.p)
+            return str(self.p)
         sign = "+" if self.s > 0 else "-"
-        return f"{format_rational(self.p)} {sign} sqrt({format_rational(self.q)})"
+        return f"{self.p} {sign} sqrt({self.q})"
 
 
 @dataclass(frozen=True)
@@ -302,11 +312,7 @@ def classify(point: TracePoint) -> ClassLabel:
     """Decide SU(2) vs SL(2,R) for an exact on-variety point.
 
     The input is rational, hence real: the label is :func:`su2_label` of its
-    boundary traces.  Points off the variety are refused.
+    boundary traces, in the point's ring.  Points off the variety are refused.
     """
-    value = point.cubic_value()
-    if value != 0:
-        raise OffVarietyError(
-            f"point is not on the variety (cubic value {format_rational(value)})"
-        )
-    return su2_label(integral(point.a))
+    point.require_on_variety()
+    return su2_label(point.a)

@@ -3,7 +3,8 @@
 Subcommands: classify, orbit, fixed-ideal, fixed-points, holonomy, pvi-params,
 family-check.  Exact data crosses the boundary as strings ("2/3", never
 floats); reports are JSON by default (deterministic for exact subcommands) or
-plain text with --format text.  Exit codes: 0 ok, 1 cap-exceeded, 2 error.
+plain text with --format text.  Exit codes: 0 ok, 1 cap-exceeded, 2 error;
+arguments a subcommand's parser refuses give an error report too.
 Only the holonomy subcommand imports :mod:`fricke.connection`, and so numpy.
 """
 
@@ -18,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import braid, groebner, pvi
 from .charvariety import TracePoint, classify
-from .exactalg import Polynomial, format_rational, parse_rational
+from .exactalg import Polynomial, parse_rational
 
 OK = "ok"
 CAP_EXCEEDED = "cap-exceeded"
@@ -29,6 +30,26 @@ _EXIT_CODES = {OK: 0, CAP_EXCEEDED: 1, ERROR: 2}
 
 class CommandError(ValueError):
     pass
+
+
+class UsageError(CommandError):
+    """argparse refused the arguments of a subcommand it recognised."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """A subcommand's parser raises :class:`UsageError`, which becomes an
+    error report; the top-level parser keeps argparse's usage text and exit
+    code 2, since a report must name a known command."""
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2]  # subparsers are "fricke <name>"
+        if not command:
+            super().error(message)
+        raise UsageError(command, message)
 
 
 def _parse_rational_tuple(text: str, expected: int, flag: str) -> tuple[Fraction, ...]:
@@ -50,7 +71,7 @@ def _parse_complex(text: str, flag: str) -> complex:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fricke",
         description="Exact braid dynamics and numerical monodromy on the "
                     "four-punctured-sphere character variety.",
@@ -107,8 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_command(argv: list[str]) -> argparse.Namespace:
-    parser = build_parser()
-    return parser.parse_args(argv)
+    """Parse an argv; raises :class:`UsageError` once a subcommand is known,
+    and exits through argparse without one."""
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        raise UsageError(args.subcommand, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _point_from_args(args) -> TracePoint:
@@ -130,7 +155,6 @@ def _classify_result(point: TracePoint) -> dict:
 
 
 def _triple_json(v) -> list[str]:
-    # str of an int or Fraction is its format_rational text
     return list(map(str, v))
 
 
@@ -202,7 +226,7 @@ def execute(args: argparse.Namespace) -> dict:
     elif name == "pvi-params":
         theta = _parse_rational_tuple(args.theta, 4, "--theta")
         r = pvi.pvi_params(theta)
-        report["result"] = {"r": [format_rational(x) for x in r]}
+        report["result"] = {"r": list(map(str, r))}
 
     elif name == "family-check":
         theta0 = _parse_rational_tuple(args.theta0, 4, "--theta0")
@@ -319,8 +343,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parse_command(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except UsageError as err:
+        print(emit_report(_error_report(err.command, {"argv": argv}, str(err)), "json"))
+        return 2
 
     if args.subcommand == "classify" and args.stdin:
+        if args.a is not None or args.v is not None or args.format != "json":
+            message = ("--stdin reads its points from standard input and writes JSON lines; "
+                       "it takes no --a, --v or --format text")
+            print(json.dumps(_error_report("classify", _inputs(args), message)))
+            return 2
         worst = 0
         for line in sys.stdin:
             line = line.strip()

@@ -43,13 +43,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a rational as ``"p"`` or ``"p/q"`` (round-trips via parse_rational)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 class ParseError(ValueError):
     """Syntax error in a polynomial expression; carries the 0-based position."""
 
@@ -383,11 +376,11 @@ class Polynomial:
                        key=lambda t: (-sum(e for _, e in t[0]), tuple((n, -e) for n, e in t[0])))
         for pairs, coeff in terms:  # no Monomial is built to print
             if not pairs:
-                body = format_rational(abs(coeff))
+                body = str(abs(coeff))
             elif abs(coeff) == 1:
                 body = _format_pairs(pairs)
             else:
-                body = f"{format_rational(abs(coeff))}*{_format_pairs(pairs)}"
+                body = f"{abs(coeff)}*{_format_pairs(pairs)}"
             if not parts:
                 parts.append(body if coeff > 0 else f"-{body}")
             else:

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from fricke import braid, groebner as gb
 from fricke.braid import BraidWord, SubgroupSpec
 from fricke.charvariety import (
-    A_VARS, SU2, TracePoint, V_VARS, classify, fricke_cubic, on_variety,
+    A_VARS, SU2, OffVarietyError, TracePoint, V_VARS, classify, fricke_cubic, on_variety,
 )
 from fricke.exactalg import Polynomial, parse_polynomial
 
@@ -153,8 +153,22 @@ class TestPointwiseAction:
         assert braid.apply_word(BraidWord.parse("t2"), TETRA).v == (F(0), F(1), F(0))
 
     def test_off_variety_rejected(self):
-        with pytest.raises(braid.OffVarietyInputError):
+        with pytest.raises(OffVarietyError):
             braid.apply_word(BraidWord.parse("t1"), TracePoint((0, 0, 0, 0), (1, 0, 0)))
+
+    @pytest.mark.parametrize("act", [
+        lambda point: braid.apply_word(BraidWord.parse("t1"), point),
+        braid.enumerate_orbit,
+    ], ids=["apply_word", "enumerate_orbit"])
+    def test_off_variety_message_names_the_cubic_value(self, act):
+        # the message classify gives, with the cubic value in the point's ring
+        for point, value in ((TracePoint((0, 0, 0, 0), (1, 0, 0)), "-3"),
+                             (TracePoint((F(1, 2), 0, 0, 0), (0, 0, 0)), "-15/4")):
+            message = f"point is not on the variety (cubic value {value})"
+            with pytest.raises(OffVarietyError, match=f"^{re.escape(message)}$"):
+                act(point)
+            with pytest.raises(OffVarietyError, match=f"^{re.escape(message)}$"):
+                classify(point)
 
     def test_action_stays_on_variety_with_same_boundary(self):
         rng = random.Random(3)
@@ -299,7 +313,7 @@ class TestIntegerPath:
             # integral basepoints: the orbit stays in int, equal to the oracle's Fractions
             assert all(type(x) is int for v in orbit.points for x in v)
             word = BraidWord(tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(6)))
-            assert all(type(x) is F for x in braid.apply_word(word, point).v)
+            assert all(type(x) is int for x in braid.apply_word(word, point).v)
             checked += 1
 
     def test_finite_su2_orbit_at_rational_boundary(self):
@@ -328,7 +342,7 @@ class TestIntegerPath:
         word = BraidWord(tuple(letters))
         there = braid.apply_word(word, point)
         assert there.v == braid._act(point.a, point.v, word.letters)
-        assert all(type(x) is F for x in there.v)
+        assert all(type(x) is int for x in there.v)
         assert on_variety(there)
         assert braid.apply_word(word.inverse(), there) == point
 

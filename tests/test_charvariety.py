@@ -16,7 +16,6 @@ from fricke.charvariety import (
     classify,
     cubic_value,
     fricke_cubic,
-    integral,
     intervals_intersect,
     on_variety,
     sqrt_expr_sign,
@@ -312,7 +311,7 @@ class TestSu2Label:
         for a in itertools.product(HALF_INTEGER_BOX, repeat=4):
             want = surd_label(a)
             assert self.flags(su2_label(a)) == want, a
-            assert self.flags(su2_label(integral(a))) == want, a
+            assert self.flags(su2_label(TracePoint(a, (0, 0, 0)).a)) == want, a
             assert self.flags(classify(point_over(a))) == want, a
             counts[want[0]] += 1
         assert min(counts.values()) > 500

@@ -104,6 +104,48 @@ def trace_argv(draw):
     return argv
 
 
+LETTERS = ("t1", "T1", "t2", "T2", "t3", "T3")
+# at most two generators of at most two letters each, and text that is no word
+GENS_ARGV = st.lists(st.lists(st.sampled_from(LETTERS), max_size=2).map("".join),
+                     min_size=1, max_size=2).map(";".join) | st.sampled_from(("", ";", "t4", "x"))
+# complex text as the CLI reads it (``i`` or ``j``), and text it must refuse
+# or that names a puncture, a far point or an overflow
+T_TEXT = st.builds(lambda x, y, unit: f"{x}{y:+}{unit}", st.floats(-3, 3), st.floats(-3, 3),
+                   st.sampled_from("ij")) | st.floats(-3, 3).map(str) | st.sampled_from(
+    ("0", "1", "1e-300", "1+1e-9j", "nan", "inf", "x", "", "1e154", "-2-2i"))
+TOL_TEXT = st.floats(1e-12, 1e-2).map(str) | st.floats().map(str) | st.sampled_from(
+    ("1e-300", "0", "-1", "x", ""))
+# polynomials in th1..th4 with exponents at most 3, and text that is none
+TERMS = st.builds(lambda c, pairs: "*".join([c] + [f"th{i}^{e}" for i, e in pairs]),
+                  NUMBER_TOKENS, st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
+                                          max_size=3))
+MEMBER_TEXT = st.lists(TERMS, min_size=1, max_size=3).map(" + ".join) | st.sampled_from(
+    ("", "th5", "th1^", "th1 th2", "(th1", "1/0"))
+
+
+@st.composite
+def other_argv(draw):
+    """``fixed-points``, ``holonomy`` (on the file ``RESIDUES``), ``pvi-params``
+    or ``family-check`` argv, with every value fuzzed text or missing."""
+    command = draw(st.sampled_from(("fixed-points", "holonomy", "pvi-params", "family-check")))
+    tokens = draw(st.sampled_from((NUMBER_TOKENS, NUMBER_TOKENS | ODD_TOKENS)))
+    four = st.sampled_from((4, 4, 4, 3, 5)).flatmap(
+        lambda n: st.lists(tokens, min_size=n, max_size=n)).map(",".join)
+    values = {
+        "fixed-points": [("--a", four), ("--gens", GENS_ARGV)],
+        "holonomy": [("--residues", st.just("RESIDUES")), ("--t", T_TEXT), ("--tol", TOL_TEXT)],
+        "pvi-params": [("--theta", four)],
+        "family-check": [("--theta0", four), ("--member", MEMBER_TEXT), ("--member", MEMBER_TEXT),
+                         ("--family", st.sampled_from(("tetrahedral-two-point",) * 3 + ("none",)))],
+    }[command]
+    argv = [command]
+    for flag, text in values:
+        if draw(st.integers(0, 5)) < 5:  # a flag is left out one time in six
+            value = draw(text)
+            argv += draw(st.sampled_from(([f"{flag}={value}"], [flag, value])))
+    return argv
+
+
 def run_main(argv, stdin_text=None, capsys=None):
     if stdin_text is not None:
         old = sys.stdin
@@ -130,6 +172,18 @@ def schema_validator():
 
 def validate_schema(report: dict):
     schema_validator().validate(report)
+
+
+def assert_one_report(argv):
+    """One run of ``main`` gives exit 0, 1 or 2 and one schema-valid report
+    on stdout, with nothing on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    report = json.loads(out.getvalue())
+    assert (code, report["status"]) in ((0, "ok"), (1, "cap-exceeded"), (2, "error")), report
+    assert "Traceback" not in report.get("message", "") and not err.getvalue()
+    validate_schema(report)
 
 
 class TestParseCommand:
@@ -425,6 +479,56 @@ class TestMainAndExitCodes:
         for report in reports:
             validate_schema(report)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["orbit", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+        (["classify", "--a", "-1,1,1,1", "--v", "0,1,0"], "argument --a: expected one argument"),
+        (["orbit"], "the following arguments are required: --a, --v"),
+        (["family-check", "--theta0=0,0,0,0", "--family=none"],
+         "argument --family: invalid choice: 'none' (choose from 'tetrahedral-two-point')"),
+        (["orbit", "--a=2,2,2,2", "--v=2,2,2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus", "pvi-params", "--theta=0,0,0,0"], "unrecognized arguments: --bogus"),
+    ], ids=["bad-int", "dash-value", "missing", "bad-choice", "unknown-flag", "flag-before"])
+    def test_argparse_refusal_is_an_error_report(self, capsys, argv, message):
+        assert run_main(argv) == 2
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        command = next(arg for arg in argv if not arg.startswith("-"))
+        assert report == {"status": "error", "command": command, "inputs": {"argv": argv},
+                          "result": None, "message": message}
+        assert not err
+        validate_schema(report)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0), (["orbit", "--help"], 0), (["frobnicate"], 2), ([], 2),
+    ])
+    def test_help_and_unknown_subcommand_keep_argparse_text(self, capsys, argv, code):
+        # a report must name a known command, so these keep argparse's text
+        assert run_main(argv) == code
+        out, err = capsys.readouterr()
+        assert "usage: fricke" in (err if code else out)
+        assert not (out if code else err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--a", "1,-1,-1,-1", "--v", "0,1,0"], ["--a=1,-1,-1,-1"], ["--v=0,1,0"],
+        ["--format", "text"],
+    ], ids=["a-and-v", "a", "v", "text"])
+    def test_stdin_refuses_a_point_or_text_format(self, capsys, flags):
+        line = json.dumps({"a": ["2", "2", "2", "2"], "v": ["2", "2", "2"]})
+        assert run_main(["classify", "--stdin", *flags], stdin_text=line + "\n") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report["status"] == "error" and report["result"] is None
+        assert report["message"] == ("--stdin reads its points from standard input and writes "
+                                     "JSON lines; it takes no --a, --v or --format text")
+        validate_schema(report)
+
+    def test_orbit_off_variety_message_names_the_cubic_value(self, capsys):
+        assert run_main(["orbit", "--a=1/2,0,0,0", "--v=0,0,0"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["message"] == "point is not on the variety (cubic value -15/4)"
+        validate_schema(report)
+
     def test_bad_rational_reports_flag(self, capsys):
         code = run_main(["orbit", "--a", "x,0,0,0", "--v", "2,0,0"])
         report = json.loads(capsys.readouterr().out)
@@ -548,18 +652,18 @@ class TestMainAndExitCodes:
     @example(["orbit", "--a=1,-1,-1,-1", "--v=0,1,0", "--cap=50"])
     @example(["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap=4"])
     def test_trace_argv_fuzz_gives_a_report(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-            try:
-                cli.parse_command(argv)
-            except SystemExit:
-                assert (code, out.getvalue()) == (2, ""), argv  # argparse's usage error
-                return
-        report = json.loads(out.getvalue())
-        assert (code, report["status"]) in ((0, "ok"), (1, "cap-exceeded"), (2, "error")), report
-        assert "Traceback" not in report.get("message", "") and not err.getvalue()
-        validate_schema(report)
+        assert_one_report(argv)
+
+    @settings(max_examples=200)
+    @given(other_argv())
+    @example(["fixed-points", "--a=1,-1,-1,-1", "--gens=t2;t1t1"])
+    @example(["holonomy", "--residues=RESIDUES", "--t=1e154"])
+    @example(["pvi-params", "--theta", "-1/2,1,1,1"])
+    @example(["family-check", "--theta0=1/3,2/3,2/3,2/3", "--member=th1^2", "--family=none"])
+    def test_other_argv_fuzz_gives_a_report(self, tmp_path_factory, argv):
+        path = tmp_path_factory.getbasetemp() / "commuting-residues.json"
+        path.write_text(json.dumps(COMMUTING_RESIDUES))
+        assert_one_report([arg.replace("RESIDUES", str(path)) for arg in argv])
 
 
 # strings as orbit points hold them, and strings the C encoder must escape

@@ -13,7 +13,6 @@ from fricke.exactalg import (
     Monomial,
     ParseError,
     Polynomial,
-    format_rational,
     parse_polynomial,
     parse_rational,
 )
@@ -69,7 +68,7 @@ class TestRationals:
 
     def test_format_round_trip(self):
         for text in ("2/3", "-5", "0", "-11/4"):
-            assert format_rational(parse_rational(text)) == text
+            assert str(parse_rational(text)) == text
 
 
 class TestMonomials:
