@@ -19,7 +19,7 @@ subcommand, never loads numpy.
 import importlib
 
 from .charvariety import TracePoint, classify, fricke_cubic, on_variety
-from .exactalg import Polynomial, Rational, parse_polynomial, parse_rational
+from .exactalg import Polynomial, parse_polynomial, parse_rational
 from .braid import BraidWord, SubgroupSpec, apply_word, enumerate_orbit, fixed_ideal, fixed_points_at
 from .groebner import Ideal, MonomialOrder, buchberger, ideal_equal, ideal_member
 from .pvi import pvi_params
@@ -41,7 +41,6 @@ __all__ = [
     "MonomialOrder",
     "Polynomial",
     "PunctureConfig",
-    "Rational",
     "ResidueTuple",
     "SubgroupSpec",
     "TracePoint",

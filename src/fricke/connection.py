@@ -14,10 +14,9 @@ inverted, so for commuting residues ``A1 = exp(2 pi i X1)``.
 This is the only module that imports numpy, and everything upstream of it is
 exact: floats reach the ring-generic :func:`cubic_value` and
 :func:`su2_label` of :mod:`fricke.charvariety` only from here.  The
-exact names of the Painleve VI layer (``THETA_VARS``, ``pvi_params``,
-``family_constraints``, ``FAMILY_CONSTRAINT_SETS``) and ``DEFAULT_HOLONOMY_TOL``
-live in :mod:`fricke.pvi` and are re-exported here, so the exact subcommands
-never load this module.
+exact side of the Painleve VI layer (exponent variables, ``pvi_params``,
+the deformation ideal) and ``DEFAULT_HOLONOMY_TOL`` live in :mod:`fricke.pvi`,
+so the exact subcommands never load this module.
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .charvariety import NON_REAL, ClassLabel, cubic_value, su2_label
-from .pvi import (  # noqa: F401 - re-exported
-    DEFAULT_HOLONOMY_TOL,
-    FAMILY_CONSTRAINT_SETS,
-    THETA_VARS,
-    family_constraints,
-    pvi_params,
-)
+from .pvi import DEFAULT_HOLONOMY_TOL, pvi_params
 
 RESIDUE_TOL = 1e-12
 MAX_INTEGRATION_STEPS = 1_000_000
@@ -382,7 +375,10 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
         for i in range(3)
         for j in range(i + 1, 3)
     ) / 4
-    basepoint = _choose_basepoint(punctures, radius)
+    try:
+        basepoint = _choose_basepoint(punctures, radius)
+    except OverflowError:  # |t| past about 1e154: a squared distance overflows
+        raise ValueError(f"puncture position t={config.t} is too large for float arithmetic") from None
 
     centroid = sum(punctures) / 3
     def rel_angle(c: complex) -> float:

@@ -11,7 +11,9 @@ bit ``16*i``, so a monomial product is one integer add.  The top bit of each
 field is a guard bit; fields below it cannot carry into their neighbour, so
 one guard test on a product's keys catches every exponent past
 :data:`MAX_EXPONENT`, which raises :class:`OverflowError` and never wraps.
-``items()`` and printing unpack keys to name-sorted :class:`Monomial` pairs.
+Outside a polynomial a monomial is an exponent vector over a given name list
+(``from_exponent_vectors`` and ``exponent_vectors``); ``items()`` and printing
+unpack keys to name-sorted ``(name, exponent)`` pairs.
 
 The accepted text grammar: integer and ``p/q`` literals, variable names
 matching ``[a-z][a-z0-9]*``, operators ``+ - * / ^`` and parentheses.
@@ -25,8 +27,6 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -59,78 +59,6 @@ class EvaluationError(KeyError):
         self.name = name
 
 
-class Monomial:
-    """A power product of variables with positive integer exponents.
-
-    Stored as a sorted tuple of (name, exponent) pairs with all exponents > 0,
-    so equal monomials always have identical representations.
-    """
-
-    __slots__ = ("_pairs", "_hash")
-
-    def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        items = exponents.items() if isinstance(exponents, Mapping) else exponents
-        merged: dict[str, int] = {}
-        for name, exp in items:
-            if exp < 0:
-                raise ValueError(f"negative exponent for {name!r}")
-            if exp:
-                merged[name] = merged.get(name, 0) + int(exp)
-        self._pairs = tuple(sorted(merged.items()))
-        self._hash = hash(self._pairs)
-
-    @staticmethod
-    def of(name: str, exp: int = 1) -> "Monomial":
-        return Monomial(((name, exp),))
-
-    @property
-    def pairs(self) -> tuple[tuple[str, int], ...]:
-        return self._pairs
-
-    def degree(self) -> int:
-        return sum(e for _, e in self._pairs)
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(n for n, _ in self._pairs)
-
-    def is_one(self) -> bool:
-        return not self._pairs
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self._pairs)
-        for n, e in other._pairs:
-            merged[n] = merged.get(n, 0) + e
-        return Monomial(merged)
-
-    def divides(self, other: "Monomial") -> bool:
-        it = dict(other._pairs)
-        return all(it.get(n, 0) >= e for n, e in self._pairs)
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self._pairs)
-        for n, e in other._pairs:
-            merged[n] = merged.get(n, 0) - e
-        return Monomial(merged)  # raises on negative exponents
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        merged = dict(self._pairs)
-        for n, e in other._pairs:
-            merged[n] = max(merged.get(n, 0), e)
-        return Monomial(merged)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return _format_pairs(self._pairs)
-
-    def __repr__(self) -> str:
-        return f"Monomial({dict(self._pairs)!r})"
-
-
 def _format_pairs(pairs: tuple[tuple[str, int], ...]) -> str:
     return "*".join(n if e == 1 else f"{n}^{e}" for n, e in pairs) or "1"
 
@@ -158,14 +86,14 @@ def _shift(name: str) -> int:
 
 
 def _check(exp: int, shift: int) -> int:
-    """``exp`` placed in the field at ``shift``; raises rather than fill its guard bit."""
-    if exp > MAX_EXPONENT:
-        raise OverflowError(f"exponent of {_VAR_NAMES[shift // _FIELD]!r} exceeds {MAX_EXPONENT}")
+    """``exp`` placed in the field at ``shift``; raises rather than borrow from
+    a neighbour or fill its guard bit."""
+    if not 0 <= exp <= MAX_EXPONENT:
+        name = _VAR_NAMES[shift // _FIELD]
+        if exp < 0:
+            raise ValueError(f"negative exponent of {name!r}")
+        raise OverflowError(f"exponent of {name!r} exceeds {MAX_EXPONENT}")
     return exp << shift
-
-
-def _pack(mono: Monomial) -> int:
-    return sum(_check(e, _shift(n)) for n, e in mono.pairs)
 
 
 def _fields(key: int) -> Iterator[tuple[int, int]]:
@@ -207,13 +135,9 @@ class Polynomial:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | Iterable[tuple[Monomial, Fraction]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: _Terms = {}
-        for mono, coeff in items:
-            key = _pack(mono)
-            clean[key] = clean.get(key, 0) + Fraction(coeff)
-        self._terms = {k: c for k, c in clean.items() if c}
+    def __init__(self):
+        """The zero polynomial; the constructors below, ``parse`` and arithmetic build the rest."""
+        self._terms: _Terms = {}
         self._hash: int | None = None
 
     # -- constructors --------------------------------------------------
@@ -240,8 +164,9 @@ class Polynomial:
 
     # -- inspection ----------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return ((Monomial(_pairs(k)), c) for k, c in self._terms.items())
+    def items(self) -> Iterator[tuple[tuple[tuple[str, int], ...], Fraction]]:
+        """Terms as (name-sorted ``(name, exponent)`` pairs, coefficient)."""
+        return ((_pairs(k), c) for k, c in self._terms.items())
 
     def exponent_vectors(self, names: Sequence[str]) -> dict[tuple[int, ...], Fraction]:
         """Terms as ``{exponent vector over names: coefficient}``; a variable
@@ -254,9 +179,6 @@ class Polynomial:
 
     def term_count(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(_pack(mono), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self._terms.get(0, Fraction(0))
@@ -374,7 +296,7 @@ class Polynomial:
         parts: list[str] = []
         terms = sorted(((_pairs(k), c) for k, c in self._terms.items()),  # graded, then lex
                        key=lambda t: (-sum(e for _, e in t[0]), tuple((n, -e) for n, e in t[0])))
-        for pairs, coeff in terms:  # no Monomial is built to print
+        for pairs, coeff in terms:
             if not pairs:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -402,7 +324,7 @@ def _wrap(terms: _Terms) -> Polynomial:
     return poly
 
 
-_POLY_ZERO = _wrap({})
+_POLY_ZERO = Polynomial()
 
 
 def _coerce(value) -> Polynomial:

@@ -29,7 +29,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-from .exactalg import MAX_EXPONENT, Monomial, Polynomial
+from .exactalg import MAX_EXPONENT, Polynomial
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_DEGREE = 30
@@ -96,11 +96,11 @@ class MonomialOrder:
     def _layout(self) -> "_Layout":
         return _Layout(self)
 
-    def leading_monomial(self, poly: Polynomial) -> Monomial:
+    def leading_monomial(self, poly: Polynomial) -> tuple[int, ...]:
+        """The exponent vector over ``variables`` of ``poly``'s largest monomial."""
         if poly.is_zero():
             raise ValueError("zero polynomial has no leading monomial")
-        lead = max(self._layout.pack(poly), key=self._layout.flip.__xor__)
-        return Monomial(zip(self.variables, self._layout.decode(lead)))
+        return self._layout.decode(max(self._layout.pack(poly), key=self._layout.flip.__xor__))
 
 
 class _Layout:
@@ -473,21 +473,21 @@ def groebner_basis(ideal: Ideal, order: MonomialOrder | None = None) -> Groebner
     return _cached_basis(ideal, order)
 
 
-def ideal_member(poly: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
-    return groebner_basis(ideal, order).contains(poly)
+def ideal_member(poly: Polynomial, ideal: Ideal) -> bool:
+    return groebner_basis(ideal).contains(poly)
 
 
-def ideal_equal(left: Ideal, right: Ideal, order: MonomialOrder | None = None) -> bool:
+def ideal_equal(left: Ideal, right: Ideal) -> bool:
     if set(left.variables) != set(right.variables):
         raise ValueError("ideal comparison requires the same ambient variables")
-    report = containment_report(left, right, order)
+    report = containment_report(left, right)
     return report["left_subset_right"] and report["right_subset_left"]
 
 
-def containment_report(left: Ideal, right: Ideal, order: MonomialOrder | None = None) -> dict:
+def containment_report(left: Ideal, right: Ideal) -> dict:
     """Per-generator membership in both directions; basis for equality diagnostics."""
-    gl = groebner_basis(left, order)
-    gr = groebner_basis(right, order if order is not None else left.default_order())
+    gl = groebner_basis(left)
+    gr = groebner_basis(right, left.default_order())
     left_in_right = {str(g): gr.contains(g) for g in left.generators}
     right_in_left = {str(g): gl.contains(g) for g in right.generators}
     return {
@@ -498,20 +498,15 @@ def containment_report(left: Ideal, right: Ideal, order: MonomialOrder | None = 
     }
 
 
-def eliminate(ideal: Ideal, drop: Iterable[str], order: MonomialOrder | None = None) -> Ideal:
-    """Generators of the elimination ideal in the kept variables."""
+def eliminate(ideal: Ideal, drop: Iterable[str]) -> Ideal:
+    """Generators of the elimination ideal in the kept variables, from a
+    basis under the block order that ranks the dropped variables first."""
     drop_set = set(drop)
     keep = tuple(v for v in ideal.variables if v not in drop_set)
     dropped = tuple(v for v in ideal.variables if v in drop_set)
     if not dropped:
         return ideal
-    if order is None:
-        order = MonomialOrder.elimination(dropped, keep)
-    else:
-        front = {"block": order.block_size, "lex": len(dropped)}.get(order.kind)
-        if front is None or set(order.variables[:front]) != drop_set:
-            raise ValueError("elimination order must rank dropped variables above kept ones")
-    gb = buchberger(ideal, order)
+    gb = buchberger(ideal, MonomialOrder.elimination(dropped, keep))
     keep_set = set(keep)
     kept_polys = tuple(g for g in gb.polynomials if g.variables() <= keep_set)
     return Ideal(kept_polys, keep)

@@ -3,7 +3,8 @@ parameters and the constant-parameter deformation ideal.
 
 Nothing here needs floating point, so the exact subcommands (``pvi-params``,
 ``family-check``) and the CLI parser run from this module without loading
-numpy; :mod:`fricke.connection` re-exports every name for the numerical layer.
+numpy; :mod:`fricke.connection` imports only ``pvi_params`` and
+``DEFAULT_HOLONOMY_TOL`` from it.
 """
 
 from __future__ import annotations

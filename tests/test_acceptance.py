@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from fricke import braid, connection as conn, groebner as gb
+from fricke import braid, connection as conn, groebner as gb, pvi
 from fricke.braid import BraidWord, SubgroupSpec
 from fricke.charvariety import (
     ALL_VARS,
@@ -255,10 +255,10 @@ def test_criterion_9_exponent_and_equation_layer():
     a = conn.exp_map(theta0)
     exp_ok = max(abs(x - e) for x, e in zip(a, (1, -1, -1, -1))) < 1e-12
     params_ok = conn.pvi_params(theta0) == (F(1, 18), F(-1, 18), F(2, 9), F(5, 18))
-    ideal = conn.family_constraints(theta0)
-    base_point = dict(zip(conn.THETA_VARS, theta0))
+    ideal = pvi.family_constraints(theta0)
+    base_point = dict(zip(pvi.THETA_VARS, theta0))
     family_ok = True
-    for poly in conn.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"]:
+    for poly in pvi.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"]:
         family_ok &= gb.ideal_member(poly, ideal)
         family_ok &= poly.evaluate(base_point) == 0
     elapsed = time.perf_counter() - start
@@ -287,7 +287,7 @@ def test_criterion_10_property_suites():
             gb.Ideal.of([P("x^2 - 1"), P("x*y - 1")], ("x", "y")),
             gb.MonomialOrder.lex(("x", "y")),
         ),
-        gb.groebner_basis(conn.family_constraints((F(1, 3), F(2, 3), F(2, 3), F(2, 3)))),
+        gb.groebner_basis(pvi.family_constraints((F(1, 3), F(2, 3), F(2, 3), F(2, 3)))),
     ]
     recheck_ok = all(gb.verify_groebner(basis) for basis in bases)
 

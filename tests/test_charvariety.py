@@ -99,15 +99,14 @@ class TestClosedForm:
 
     def test_complex_points_match_term_sum(self):
         rng = random.Random(62)
-        terms = list(fricke_cubic().items())
+        terms = fricke_cubic().exponent_vectors(ALL_VARS).items()
         for _ in range(50):
             coords = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(7)]
-            point = dict(zip(ALL_VARS, coords))
             expected = 0j
-            for mono, coeff in terms:
+            for vec, coeff in terms:
                 term = complex(coeff)
-                for name, exp in mono.pairs:
-                    term *= point[name] ** exp
+                for x, exp in zip(coords, vec):
+                    term *= x ** exp
                 expected += term
             got = cubic_value(coords[:4], coords[4:])
             assert abs(got - expected) <= 1e-9 * abs(expected)

@@ -176,7 +176,7 @@ def validate_schema(report: dict):
 
 def assert_one_report(argv):
     """One run of ``main`` gives exit 0, 1 or 2 and one schema-valid report
-    on stdout, with nothing on stderr."""
+    on stdout, with nothing on stderr; returns the report."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -184,6 +184,7 @@ def assert_one_report(argv):
     assert (code, report["status"]) in ((0, "ok"), (1, "cap-exceeded"), (2, "error")), report
     assert "Traceback" not in report.get("message", "") and not err.getvalue()
     validate_schema(report)
+    return report
 
 
 class TestParseCommand:
@@ -663,7 +664,9 @@ class TestMainAndExitCodes:
     def test_other_argv_fuzz_gives_a_report(self, tmp_path_factory, argv):
         path = tmp_path_factory.getbasetemp() / "commuting-residues.json"
         path.write_text(json.dumps(COMMUTING_RESIDUES))
-        assert_one_report([arg.replace("RESIDUES", str(path)) for arg in argv])
+        report = assert_one_report([arg.replace("RESIDUES", str(path)) for arg in argv])
+        if argv[-1] == "--t=1e154":
+            assert report["message"] == "puncture position t=(1e+154+0j) is too large for float arithmetic"
 
 
 # strings as orbit points hold them, and strings the C encoder must escape

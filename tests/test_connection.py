@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fricke import connection as conn
-from fricke import groebner as gb
+from fricke import groebner as gb, pvi
 from fricke.exactalg import Polynomial, parse_polynomial
 
 from conftest import random_traceless_matrix, sample_residue_tuple
@@ -264,6 +264,12 @@ class TestHolonomy:
         with pytest.raises(ValueError, match="tolerance must be finite"):
             conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=tol)
 
+    @pytest.mark.parametrize("t", [1e154, -1e200j, 1e300 + 1e300j])
+    def test_far_puncture_refused_by_name(self, t):
+        # the basepoint's squared distance to a puncture overflows a float
+        with pytest.raises(ValueError, match=r"^puncture position t=.* is too large for float arithmetic$"):
+            conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(t))
+
     def test_series_term_cap_raises(self):
         # steps at half the distance to the nearest puncture shrink the terms
         # about 2x each, so 1e-200 is out of reach within the term cap
@@ -472,26 +478,26 @@ class TestFamilyConstraints:
     THETA0 = (F(1, 3), F(2, 3), F(2, 3), F(2, 3))
 
     def test_generators_vanish_at_base(self):
-        ideal = conn.family_constraints(self.THETA0)
-        point = dict(zip(conn.THETA_VARS, self.THETA0))
+        ideal = pvi.family_constraints(self.THETA0)
+        point = dict(zip(pvi.THETA_VARS, self.THETA0))
         for g in ideal.generators:
             assert g.evaluate(point) == 0
 
     def test_shipped_family_polynomials_are_members(self):
         # each equals twice a sum of two generators (checked by hand when
         # freezing: 2(g3 + g4) and 2(g1 + g2))
-        ideal = conn.family_constraints(self.THETA0)
-        for poly in conn.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"]:
+        ideal = pvi.family_constraints(self.THETA0)
+        for poly in pvi.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"]:
             assert gb.ideal_member(poly, ideal)
 
     def test_shipped_family_vanishes_at_base(self):
-        point = dict(zip(conn.THETA_VARS, self.THETA0))
-        for poly in conn.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"]:
+        point = dict(zip(pvi.THETA_VARS, self.THETA0))
+        for poly in pvi.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"]:
             assert poly.evaluate(point) == 0
 
     def test_sign_symmetry_invariance(self):
         # th1..th3 -> -th1..-th3 and th4 -> 2 - th4 fix every parameter
-        ideal = conn.family_constraints(self.THETA0)
+        ideal = pvi.family_constraints(self.THETA0)
         images = {
             "th1": -Polynomial.variable("th1"),
             "th2": -Polynomial.variable("th2"),
@@ -504,8 +510,8 @@ class TestFamilyConstraints:
     def test_strict_ideal_is_stricter_than_family_variety(self):
         # the shipped constraint set cuts a 2-dimensional variety, so the
         # reverse memberships must fail
-        ideal = conn.family_constraints(self.THETA0)
+        ideal = pvi.family_constraints(self.THETA0)
         family = gb.Ideal(
-            conn.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"], conn.THETA_VARS
+            pvi.FAMILY_CONSTRAINT_SETS["tetrahedral-two-point"], pvi.THETA_VARS
         )
         assert not all(gb.ideal_member(g, family) for g in ideal.generators)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from fricke import braid, groebner as gb
 from fricke.charvariety import ALL_VARS, V_VARS
-from fricke.exactalg import MAX_EXPONENT, Monomial, Polynomial, parse_polynomial
+from fricke.exactalg import MAX_EXPONENT, Polynomial, parse_polynomial
 
 P = parse_polynomial
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -30,23 +30,25 @@ def reference_ideal() -> gb.Ideal:
 def random_poly(rng: random.Random, names, terms=3, deg=2) -> Polynomial:
     out = Polynomial.zero()
     for _ in range(rng.randint(1, terms)):
-        mono = Monomial({n: rng.randint(0, deg) for n in names if rng.random() < 0.7})
-        out = out + Polynomial({mono: F(rng.randint(-4, 4))})
+        vec = tuple(rng.randint(0, deg) if rng.random() < 0.7 else 0 for _ in names)
+        out = out + Polynomial.from_exponent_vectors(names, {vec: F(rng.randint(-4, 4))})
     return out
 
 
 def all_pairs_verdict(basis: gb.GroebnerBasis) -> bool:
     """Unpruned reference check: every one of the n(n-1)/2 S-polynomials,
     built with ``Polynomial`` arithmetic, reduces to zero."""
-    polys, order = basis.polynomials, basis.order
+    polys, order, names = basis.polynomials, basis.order, basis.order.variables
     lead = [order.leading_monomial(p) for p in polys]
 
     def lifted(k, lcm):  # polys[k] times the term that makes its leading term lcm
-        return polys[k] * Polynomial({lcm / lead[k]: 1 / polys[k].coefficient(lead[k])})
+        shift = tuple(x - y for x, y in zip(lcm, lead[k]))
+        lc = polys[k].exponent_vectors(names)[lead[k]]
+        return polys[k] * Polynomial.from_exponent_vectors(names, {shift: 1 / lc})
 
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            lcm = lead[i].lcm(lead[j])
+            lcm = tuple(map(max, lead[i], lead[j]))
             if not gb.reduce(lifted(i, lcm) - lifted(j, lcm), polys, order).is_zero():
                 return False
     return True
@@ -120,6 +122,13 @@ def lex_solve(ideal: gb.Ideal) -> gb.ZeroDimensionalSolution:
     return gb.ZeroDimensionalSolution(tuple(ordered), tuple(residuals))
 
 
+ORDERS = (
+    gb.MonomialOrder.lex(("y", "x")),
+    gb.MonomialOrder.grevlex(("x", "y", "z")),
+    gb.MonomialOrder.elimination(("z", "x"), ("w", "y")),
+)
+
+
 @st.composite
 def layout_cases(draw):
     """An order over 1-7 variables and two exponent vectors, small or up to the cap."""
@@ -145,11 +154,7 @@ class TestPackedLayout:
         assert layout.lcm(pa, pb) == layout.encode(tuple(map(max, a, b)))
         assert layout.coprime(pa, pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
-    @pytest.mark.parametrize("order", [
-        gb.MonomialOrder.lex(("y", "x")),
-        gb.MonomialOrder.grevlex(("x", "y", "z")),
-        gb.MonomialOrder.elimination(("z", "x"), ("w", "y")),
-    ], ids=["lex", "grevlex", "block"])
+    @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "block"])
     def test_reduce_matches_textbook_division(self, order):
         rng = random.Random(1337)
         names = order.variables
@@ -159,6 +164,18 @@ class TestPackedLayout:
             f = random_poly(rng, names, terms=5, deg=3)
             assert gb.reduce(f, divisors, order) == textbook_reduce(f, divisors, order), (
                 str(f), [str(d) for d in divisors])
+
+    @pytest.mark.parametrize("order", ORDERS, ids=["lex", "grevlex", "block"])
+    def test_leading_monomial_matches_tuple_key(self, order):
+        rng = random.Random(2024)
+        for _ in range(60):
+            p = random_poly(rng, order.variables, terms=5, deg=3)
+            if p.is_zero():
+                with pytest.raises(ValueError, match="no leading monomial"):
+                    order.leading_monomial(p)
+                continue
+            vectors = p.exponent_vectors(order.variables)
+            assert order.leading_monomial(p) == max(vectors, key=tuple_key(order)), str(p)
 
     def test_reducers_built_once_per_basis(self, monkeypatch):
         computed = gb.groebner_basis(reference_ideal())
@@ -175,7 +192,7 @@ class TestPackedLayout:
         # 32767 in all seven variables: the degree field holds 7 * 32767
         order = gb.MonomialOrder(kind, ALL_VARS, 3 if kind == "block" else 0)
         top = Polynomial.from_exponent_vectors(ALL_VARS, {(MAX_EXPONENT,) * 7: 1, (0,) * 7: -1})
-        assert order.leading_monomial(top) == Monomial({v: MAX_EXPONENT for v in ALL_VARS})
+        assert order.leading_monomial(top) == (MAX_EXPONENT,) * 7
         assert gb.reduce(top, [], order) == top
         assert gb.reduce(top, [top], order).is_zero()
         divisor = P("v1^32767 - 1", ALL_VARS)
@@ -232,8 +249,8 @@ class TestReduce:
         for _ in range(30):
             p = random_poly(rng, ("x", "y", "z"))
             r = gb.reduce(p, basis, order)
-            for mono, _ in r.items():
-                assert not any(lm.divides(mono) for lm in lead)
+            for vec in r.exponent_vectors(order.variables):
+                assert not any(all(x <= y for x, y in zip(lm, vec)) for lm in lead)
 
     def test_reduce_idempotent(self):
         order = gb.MonomialOrder.grevlex(("x", "y", "z"))
@@ -451,18 +468,6 @@ class TestEliminate:
     def test_eliminate_nothing(self):
         ideal = gb.Ideal.of([P("x*y - 1")], ("x", "y"))
         assert gb.eliminate(ideal, []) == ideal
-
-    def test_wrong_order_rejected(self):
-        ideal = gb.Ideal.of([P("x*y - 1")], ("x", "y"))
-        with pytest.raises(ValueError):
-            gb.eliminate(ideal, ["x"], gb.MonomialOrder.grevlex(("x", "y")))
-        with pytest.raises(ValueError):
-            gb.eliminate(ideal, ["x"], gb.MonomialOrder.lex(("y", "x")))
-
-    def test_lex_elimination_order_accepted(self):
-        ideal = gb.Ideal.of([P("v1 - a1"), P("v1^2 - v2")], ("v1", "a1", "v2"))
-        out = gb.eliminate(ideal, ["v1"], gb.MonomialOrder.lex(("v1", "a1", "v2")))
-        assert gb.ideal_equal(out, gb.Ideal.of([P("a1^2 - v2")], ("a1", "v2")))
 
 
 class TestUnivariateSolving:
