@@ -4,15 +4,18 @@ Subcommands: classify, orbit, fixed-ideal, fixed-points, holonomy, pvi-params,
 family-check.  Exact data crosses the boundary as strings ("2/3", never
 floats); reports are JSON by default (deterministic for exact subcommands) or
 plain text with --format text.  Exit codes: 0 ok, 1 cap-exceeded, 2 error;
-arguments a subcommand's parser refuses give an error report too.
+arguments a subcommand's parser refuses give an error report too, and a
+reader that closes standard output early gives exit code 2 without a traceback.
 Only the holonomy subcommand imports :mod:`fricke.connection`, and so numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -70,7 +73,11 @@ def _parse_complex(text: str, flag: str) -> complex:
         raise CommandError(f"bad complex literal in {flag}: {text!r}") from err
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process: building it costs about a
+    millisecond, which in-process callers would pay on every command.  Parsing
+    does not change it (``--member`` appends to a copy of its ``[]`` default)."""
     parser = _Parser(
         prog="fricke",
         description="Exact braid dynamics and numerical monodromy on the "
@@ -338,6 +345,23 @@ def _error_report(command: str, inputs: dict, message: str, status: str = ERROR)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command (or one ``classify --stdin`` batch); returns its exit code.
+
+    A reader that closes standard output early (``fricke orbit ... | head -1``)
+    ends the command with exit code 2 and no traceback.  This is the
+    ``BrokenPipeError`` recipe of Python's ``signal`` documentation: the
+    output still pending goes to devnull, so the flush at exit cannot fail.
+    """
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe shows here for output still buffered
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CODES[ERROR]
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = parse_command(argv)

@@ -206,14 +206,25 @@ class _Transporter:
     """
 
     def __init__(self, residues: Sequence[np.ndarray], punctures: Sequence[complex], tol: float):
-        self.residues = [tuple(complex(x) for x in m.reshape(4)) for m in residues]
+        # entry k of X1, X2, X3, for each of the four row-major entries k
+        self.columns = list(zip(*(tuple(complex(x) for x in m.reshape(4)) for m in residues)))
         self.punctures = list(punctures)
         self.tol = tol
         self.steps = 0
         self.error_estimate = 0.0
 
     def _step(self, z: complex, h: complex, y: _Mat) -> _Mat:
-        """Y(z + h) from Y(z), summing the series in the scaled terms ``u_k = y_k h^k``."""
+        """Y(z + h) from Y(z), summing the series in the scaled terms ``u_k = y_k h^k``.
+
+        Bit-identity rule: keep every float operation, with the same operands,
+        in the same order.  Hoisting a repeated subexpression is fine; an
+        algebraic rewrite (``-s * h ** 0`` to ``-s``, a reassociated sum) is
+        not.  The benchmark's cubic-residual gate sits at float rounding for
+        some seeded tuples (the worst found is 9.1e-7 against 1e-6), so moved
+        rounding can fail it, as it most likely did for an earlier change.
+        ``tests/test_connection.py`` keeps the reference kernel and checks
+        equality with ``==``.
+        """
         d0, d1, d2 = (z - c for c in self.punctures)
         s = h / (d0 * d1 * d2)
         # p_j: coefficient of w^j in P(z + w) / P(z), times h^j;
@@ -221,29 +232,31 @@ class _Transporter:
         p1, p2, p3 = s * (d0 * d1 + d0 * d2 + d1 * d2), s * h * (d0 + d1 + d2), s * h * h
         weights = ((d1 * d2, d0 * d2, d0 * d1), (d1 + d2, d0 + d2, d0 + d1), (1, 1, 1))
         (a0, a1, a2, a3), (b0, b1, b2, b3), (e0, e1, e2, e3) = (
-            tuple(-s * h ** j * (w0 * a + w1 * b + w2 * c) for a, b, c in zip(*self.residues))
-            for j, (w0, w1, w2) in enumerate(weights)
+            [scale * (w0 * a + w1 * b + w2 * c) for a, b, c in self.columns]
+            for scale, (w0, w1, w2) in zip([-s * h ** j for j in range(3)], weights)
         )
-        threshold = self.tol * (1 + max(abs(v) for v in y))
-        u0, u1, u2 = y, (0j,) * 4, (0j,) * 4  # u_n, u_(n-1), u_(n-2)
-        total, quiet = y, 0
+        f0, f1, f2, f3 = t0, t1, t2, t3 = y  # u_n and the running sum
+        g0 = g1 = g2 = g3 = k0 = k1 = k2 = k3 = 0j  # u_(n-1), u_(n-2)
+        threshold = self.tol * (1 + max(abs(f0), abs(f1), abs(f2), abs(f3)))
+        quiet = 0
         for n in range(MAX_SERIES_TERMS):
             # (n+1) u_(n+1) = sum_j (Q_j - c_j) u_(n-j) with c_j = p_(j+1) (n-j)
             c0, c1, c2 = p1 * n, p2 * (n - 1), p3 * (n - 2)
-            (f0, f1, f2, f3), (g0, g1, g2, g3), (k0, k1, k2, k3) = u0, u1, u2
+            a0c, b0c, e0c, a3c, b3c, e3c = a0 - c0, b0 - c1, e0 - c2, a3 - c0, b3 - c1, e3 - c2
             inv = 1 / (n + 1)
-            u0, u1, u2 = (
-                ((a0 - c0) * f0 + a1 * f2 + (b0 - c1) * g0 + b1 * g2 + (e0 - c2) * k0 + e1 * k2) * inv,
-                ((a0 - c0) * f1 + a1 * f3 + (b0 - c1) * g1 + b1 * g3 + (e0 - c2) * k1 + e1 * k3) * inv,
-                (a2 * f0 + (a3 - c0) * f2 + b2 * g0 + (b3 - c1) * g2 + e2 * k0 + (e3 - c2) * k2) * inv,
-                (a2 * f1 + (a3 - c0) * f3 + b2 * g1 + (b3 - c1) * g3 + e2 * k1 + (e3 - c2) * k3) * inv,
-            ), u0, u1
-            total = (total[0] + u0[0], total[1] + u0[1], total[2] + u0[2], total[3] + u0[3])
-            size = max(abs(v) for v in u0)
+            f0, f1, f2, f3, g0, g1, g2, g3, k0, k1, k2, k3 = (
+                (a0c * f0 + a1 * f2 + b0c * g0 + b1 * g2 + e0c * k0 + e1 * k2) * inv,
+                (a0c * f1 + a1 * f3 + b0c * g1 + b1 * g3 + e0c * k1 + e1 * k3) * inv,
+                (a2 * f0 + a3c * f2 + b2 * g0 + b3c * g2 + e2 * k0 + e3c * k2) * inv,
+                (a2 * f1 + a3c * f3 + b2 * g1 + b3c * g3 + e2 * k1 + e3c * k3) * inv,
+                f0, f1, f2, f3, g0, g1, g2, g3,
+            )
+            t0, t1, t2, t3 = t0 + f0, t1 + f1, t2 + f2, t3 + f3
+            size = max(abs(f0), abs(f1), abs(f2), abs(f3))
             quiet = quiet + 1 if size < threshold else 0
             if quiet == 2:
                 self.error_estimate += size
-                return total
+                return t0, t1, t2, t3
         raise HolonomyError(f"Taylor series not converged within {MAX_SERIES_TERMS} terms")
 
     def run_piece(self, zfun: Callable[[float], complex],
@@ -363,7 +376,9 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
     class, and projected to det 1 again.  ``A4`` is the projected
     ``adj(A3) adj(A2) adj(A1)``, not a transport around infinity.  A cap
     hit or a determinant lost in rounding (see ``_unimodular``) raises
-    :class:`HolonomyError`.
+    :class:`HolonomyError`; a ``t`` too far out for float arithmetic (its
+    geometry overflows, or a path point rounds onto a puncture) raises
+    ``ValueError``.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be finite, got {tol}")
@@ -375,10 +390,11 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
         for i in range(3)
         for j in range(i + 1, 3)
     ) / 4
+    too_far = f"puncture position t={config.t} is too large for float arithmetic"
     try:
         basepoint = _choose_basepoint(punctures, radius)
     except OverflowError:  # |t| past about 1e154: a squared distance overflows
-        raise ValueError(f"puncture position t={config.t} is too large for float arithmetic") from None
+        raise ValueError(too_far) from None
 
     centroid = sum(punctures) / 3
     def rel_angle(c: complex) -> float:
@@ -388,13 +404,16 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
 
     transporter = _Transporter(residues.X[:3], punctures, tol)
     rho: dict[int, np.ndarray] = {}
-    for i in range(3):
-        inbound, circle = _loop_pieces(basepoint, punctures[i], radius)
-        inward = transporter.run_piece(*inbound, (1 + 0j, 0j, 0j, 1 + 0j))
-        around = transporter.run_piece(*circle, inward)
-        # with T = inward and C T = around, the loop is T^-1 C T; transports
-        # are inverted, so rho is (T^-1 C T)^-1 = adj(C T) T at det 1
-        rho[i] = _unimodular(_adj(np.reshape(around, (2, 2))) @ np.reshape(inward, (2, 2)))
+    try:
+        for i in range(3):
+            inbound, circle = _loop_pieces(basepoint, punctures[i], radius)
+            inward = transporter.run_piece(*inbound, (1 + 0j, 0j, 0j, 1 + 0j))
+            around = transporter.run_piece(*circle, inward)
+            # with T = inward and C T = around, the loop is T^-1 C T; transports
+            # are inverted, so rho is (T^-1 C T)^-1 = adj(C T) T at det 1
+            rho[i] = _unimodular(_adj(np.reshape(around, (2, 2))) @ np.reshape(inward, (2, 2)))
+    except ZeroDivisionError:  # |t| dwarfs the loop radius: a path point rounds onto a puncture
+        raise ValueError(too_far) from None
 
     # geometric tuple in angular order; bubble-sort to puncture order with
     # conjugation moves (g, h) -> (g h g^-1, g), which preserve the product

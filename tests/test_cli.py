@@ -772,13 +772,76 @@ class TestReportRendering:
         assert capsys.readouterr().out == expected
 
 
+def src_env() -> dict:
+    """The environment with ``src`` first on ``PYTHONPATH``, for a new interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def fresh_interpreter(code: str) -> str:
     """Standard output of ``python -c code`` in a new process importing from ``src``."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+class TestParserReuse:
+    """``build_parser`` runs once per process, so no parse may leave state behind."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--a=2,2,2,2", "--v=2,2,2", "--cap", "10"],
+        ["family-check", "--theta0=0,0,0,0", "--member=th1", "--member", "th2"],
+        ["holonomy", "--residues=r.json", "--t=0.5", "--format", "text"],
+    ], ids=["orbit", "family-check", "holonomy"])
+    def test_same_argv_gives_equal_namespaces(self, argv):
+        first, second = cli.parse_command(argv), cli.parse_command(argv)
+        assert first == second and first is not second
+
+    def test_member_default_is_never_mutated(self, capsys):
+        assert run_main(["family-check", "--theta0=1/3,2/3,2/3,2/3", "--member=th1^2 - th2^2"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["membership"] == {"th1^2 - th2^2": False}
+        assert run_main(["family-check", "--theta0=1/3,2/3,2/3,2/3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["membership"] == {} and "member" not in report["inputs"]
+        assert cli.parse_command(["family-check", "--theta0=0,0,0,0"]).member == []
+
+    @pytest.mark.parametrize("first, code", [(["orbit", "--cap", "x"], 2), (["--help"], 0)],
+                             ids=["usage-error", "help"])
+    def test_valid_call_after_an_early_exit(self, capsys, first, code):
+        assert run_main(first) == code
+        capsys.readouterr()
+        assert run_main(["classify", "--a", "1,-1,-1,-1", "--v", "0,1,0"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["status"] == "ok" and not err
+
+
+def run_with_closed_stdout(argv, stdin_text=""):
+    """``fricke argv`` in a new process whose standard output is a pipe with no reader."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from fricke import cli; raise SystemExit(cli.main(sys.argv[1:]))",
+             *argv], input=stdin_text, stdout=write, stderr=subprocess.PIPE, text=True,
+            env=src_env(), timeout=120)
+    finally:
+        os.close(write)
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv, stdin_text", [
+        # 24 kB of report: the write fails inside print
+        (["orbit", "--a=-2,-2,-2,-2", "--v=1,2,3", "--cap", "300"], ""),
+        # a short report still in the buffer: the write fails at the flush
+        (["classify", "--a", "2,2,2,2", "--v", "2,2,2"], ""),
+        (["classify", "--stdin"], '{"a": ["1", "-1", "-1", "-1"], "v": ["0", "1", "0"]}\n' * 2000),
+    ], ids=["orbit", "classify", "classify-stdin"])
+    def test_closed_stdout_is_an_error_without_traceback(self, argv, stdin_text):
+        done = run_with_closed_stdout(argv, stdin_text)
+        assert (done.returncode, done.stderr) == (2, "")
 
 
 class TestNumpyLoadsOnlyForHolonomy:

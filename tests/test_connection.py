@@ -55,6 +55,47 @@ MARGINAL_RESIDUES = {
 }
 
 
+def marginal_residue_tuple(name):
+    X = [np.array(entries, dtype=complex).reshape(2, 2) for entries in MARGINAL_RESIDUES[name]]
+    X.append(-(X[0] + X[1] + X[2]))
+    return conn.ResidueTuple(tuple(X))
+
+
+def reference_step(self, z, h, y):
+    """``_Transporter._step`` as first written: the reference for its
+    bit-identity rule.  It rebuilds the term tuples every term and computes
+    each shifted diagonal coefficient where it is used; the kernel must give
+    the same bits with the same float operations, only cheaper."""
+    d0, d1, d2 = (z - c for c in self.punctures)
+    s = h / (d0 * d1 * d2)
+    p1, p2, p3 = s * (d0 * d1 + d0 * d2 + d1 * d2), s * h * (d0 + d1 + d2), s * h * h
+    weights = ((d1 * d2, d0 * d2, d0 * d1), (d1 + d2, d0 + d2, d0 + d1), (1, 1, 1))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (e0, e1, e2, e3) = (
+        tuple(-s * h ** j * (w0 * a + w1 * b + w2 * c) for a, b, c in self.columns)
+        for j, (w0, w1, w2) in enumerate(weights)
+    )
+    threshold = self.tol * (1 + max(abs(v) for v in y))
+    u0, u1, u2 = y, (0j,) * 4, (0j,) * 4
+    total, quiet = y, 0
+    for n in range(conn.MAX_SERIES_TERMS):
+        c0, c1, c2 = p1 * n, p2 * (n - 1), p3 * (n - 2)
+        (f0, f1, f2, f3), (g0, g1, g2, g3), (k0, k1, k2, k3) = u0, u1, u2
+        inv = 1 / (n + 1)
+        u0, u1, u2 = (
+            ((a0 - c0) * f0 + a1 * f2 + (b0 - c1) * g0 + b1 * g2 + (e0 - c2) * k0 + e1 * k2) * inv,
+            ((a0 - c0) * f1 + a1 * f3 + (b0 - c1) * g1 + b1 * g3 + (e0 - c2) * k1 + e1 * k3) * inv,
+            (a2 * f0 + (a3 - c0) * f2 + b2 * g0 + (b3 - c1) * g2 + e2 * k0 + (e3 - c2) * k2) * inv,
+            (a2 * f1 + (a3 - c0) * f3 + b2 * g1 + (b3 - c1) * g3 + e2 * k1 + (e3 - c2) * k3) * inv,
+        ), u0, u1
+        total = (total[0] + u0[0], total[1] + u0[1], total[2] + u0[2], total[3] + u0[3])
+        size = max(abs(v) for v in u0)
+        quiet = quiet + 1 if size < threshold else 0
+        if quiet == 2:
+            self.error_estimate += size
+            return total
+    raise conn.HolonomyError(f"Taylor series not converged within {conn.MAX_SERIES_TERMS} terms")
+
+
 def diag(a, b):
     return np.diag([a, b]).astype(complex)
 
@@ -189,9 +230,7 @@ class TestHolonomy:
 
     @pytest.mark.parametrize("name", list(MARGINAL_RESIDUES))
     def test_marginal_tuples_certify(self, name):
-        X = [np.array(entries, dtype=complex).reshape(2, 2) for entries in MARGINAL_RESIDUES[name]]
-        X.append(-(X[0] + X[1] + X[2]))
-        result = conn.holonomy(conn.ResidueTuple(tuple(X)),
+        result = conn.holonomy(marginal_residue_tuple(name),
                                conn.PunctureConfig(0.3333333333333333), tol=1e-12)
         expected = conn.exp_map(result.theta)
         assert max(abs(x - e) for x, e in zip(result.a, expected)) < 1e-6
@@ -270,6 +309,12 @@ class TestHolonomy:
         with pytest.raises(ValueError, match=r"^puncture position t=.* is too large for float arithmetic$"):
             conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(t))
 
+    @pytest.mark.parametrize("t", [1e150j, 1e60, 1e100 + 1e99j])
+    def test_puncture_rounding_onto_a_path_refused_by_name(self, t):
+        # |t| dwarfs the loop radius 1/4, so a step lands exactly on a puncture
+        with pytest.raises(ValueError, match=r"^puncture position t=.* is too large for float arithmetic$"):
+            conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(t))
+
     def test_series_term_cap_raises(self):
         # steps at half the distance to the nearest puncture shrink the terms
         # about 2x each, so 1e-200 is out of reach within the term cap
@@ -289,6 +334,39 @@ class TestHolonomy:
         X.append(-(X[0] + X[1] + X[2]))
         with pytest.raises(conn.HolonomyError, match="lost all precision"):
             conn.holonomy(conn.ResidueTuple(tuple(X)), conn.PunctureConfig(0.5), tol=1e-8)
+
+
+class TestStepKernel:
+    """``_Transporter._step`` gives the bits of ``reference_step`` (see its docstring)."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12], ids=["1e-8", "1e-12"])
+    @pytest.mark.parametrize("t", [F(1, 3), 0.35 + 0.6j, -0.7], ids=["1/3", "0.35+0.6j", "-0.7"])
+    def test_steps_match_reference(self, monkeypatch, t, tol):
+        kernel, steps = conn._Transporter._step, []
+
+        def both(self, z, h, y):
+            estimate = self.error_estimate
+            want = reference_step(self, z, h, y)
+            want_estimate, self.error_estimate = self.error_estimate, estimate
+            got = kernel(self, z, h, y)
+            assert got == want and self.error_estimate == want_estimate
+            steps.append(z)
+            return got
+
+        monkeypatch.setattr(conn._Transporter, "_step", both)
+        rng = random.Random(2026)
+        for _ in range(3):
+            conn.holonomy(sample_residue_tuple(rng), conn.PunctureConfig(t), tol=tol)
+        assert len(steps) > 100
+
+    @pytest.mark.parametrize("name", list(MARGINAL_RESIDUES))
+    def test_marginal_results_match_reference(self, monkeypatch, name):
+        config = conn.PunctureConfig(0.3333333333333333)
+        result = conn.holonomy(marginal_residue_tuple(name), config, tol=1e-12)
+        monkeypatch.setattr(conn._Transporter, "_step", reference_step)
+        reference = conn.holonomy(marginal_residue_tuple(name), config, tol=1e-12)
+        assert result.to_json() == reference.to_json()
+        assert result.steps == reference.steps
 
 
 class TestTraces:
