@@ -36,7 +36,6 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     NotZeroDimensionalError,
-    ZeroDimensionalSolution,
 )
 
 DEFAULT_ORBIT_CAP = 10_000
@@ -129,11 +128,6 @@ def _act(a: Sequence, v: Sequence, letters: Iterable[tuple[int, int]]) -> tuple:
     return v
 
 
-def apply_letter(a: Sequence[Fraction], v: _TRIPLE, index: int, sign: int) -> _TRIPLE:
-    """One signed generator applied exactly at fixed boundary traces."""
-    return _letter(trace_coefficients(a), v, index, sign)
-
-
 def apply_word(word: BraidWord, point: TracePoint) -> TracePoint:
     """Apply a word letters-first-to-last to an exact on-variety point; the
     image is in the point's ring."""
@@ -180,8 +174,8 @@ class Orbit:
 def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
     """Breadth-first closure under the six signed generator maps.
 
-    Deterministic: frontiers are expanded in sorted order.  Exceeding ``cap``
-    stops the search and is reported through the status, not an error.
+    Each step sorts the frontier's new images, records their number and adds
+    the first ``cap - len(seen)``; one left out stops the search as ``cap-exceeded``.
     """
     if cap <= 0:
         raise ValueError("orbit cap must be positive")
@@ -192,26 +186,23 @@ def enumerate_orbit(point: TracePoint, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
     sizes: list[int] = [1]
     status = ORBIT_COMPLETE
     while frontier:
-        next_frontier: set[tuple] = set()
+        fresh: set[tuple] = set()
         for v in frontier:
             for index in (1, 2, 3):
                 for sign in (1, -1):
                     image = _letter(p, v, index, sign)
                     if image not in seen:
-                        next_frontier.add(image)
-        if not next_frontier:
+                        fresh.add(image)
+        if not fresh:
             break
-        if len(seen) + len(next_frontier) > cap:
+        frontier = sorted(fresh)
+        sizes.append(len(frontier))
+        room = cap - len(seen)
+        # a set is merged with the hashes it holds; a list would be hashed again
+        seen.update(fresh if len(frontier) <= room else frontier[:room])
+        if len(frontier) > room:
             status = ORBIT_CAP_EXCEEDED
-            for image in sorted(next_frontier):
-                if len(seen) >= cap:
-                    break
-                seen.add(image)
-            sizes.append(len(next_frontier))
             break
-        seen.update(next_frontier)
-        sizes.append(len(next_frontier))
-        frontier = sorted(next_frontier)
     return Orbit(
         basepoint=point,
         points=tuple(sorted(seen)),
@@ -269,7 +260,7 @@ def fixed_points_at(a: Sequence[Fraction], subgroup: SubgroupSpec) -> FixedPoint
     a = tuple(Fraction(x) for x in a)
     ideal = Ideal(fixed_ideal_generators(subgroup, a), V_VARS)
     try:
-        solution: ZeroDimensionalSolution = groebner.solve_zero_dimensional(ideal)
+        solution = groebner.solve_zero_dimensional(ideal)
     except NotZeroDimensionalError as err:
         return FixedPoints(
             a=a,
@@ -280,7 +271,7 @@ def fixed_points_at(a: Sequence[Fraction], subgroup: SubgroupSpec) -> FixedPoint
         )
     return FixedPoints(
         a=a,
-        solutions=tuple((pt["v1"], pt["v2"], pt["v3"]) for pt in solution.points),
+        solutions=solution.points,
         residuals=solution.residuals,
         zero_dimensional=True,
     )

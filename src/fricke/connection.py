@@ -148,20 +148,6 @@ class PunctureConfig:
         return (0j, 1 + 0j, self.t)
 
 
-@dataclass(frozen=True)
-class MonodromyTuple:
-    """Four unimodular-within-tolerance matrices with A1 A2 A3 A4 = I."""
-
-    A: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    def det_residuals(self) -> tuple[float, float, float, float]:
-        return tuple(abs(complex(np.linalg.det(m)) - 1) for m in self.A)
-
-    def product_residual(self) -> float:
-        prod = self.A[0] @ self.A[1] @ self.A[2] @ self.A[3]
-        return float(np.max(np.abs(prod - np.eye(2))))
-
-
 # -- exponents ----------------------------------------------------------------
 
 def theta_of(residues: ResidueTuple) -> tuple[complex, complex, complex, complex]:
@@ -322,9 +308,9 @@ def _choose_basepoint(punctures: Sequence[complex], radius: float) -> complex:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    """Monodromy tuple plus the post-hoc certification data."""
+    """Monodromy tuple ``(A1, A2, A3, A4)`` plus the post-hoc certification data."""
 
-    monodromy: MonodromyTuple
+    monodromy: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     theta: tuple[complex, complex, complex, complex]
     a: tuple[complex, complex, complex, complex]
     v: tuple[complex, complex, complex]
@@ -345,13 +331,13 @@ class HolonomyResult:
             "product_residual": self.product_residual,
             "integration_error": self.integration_error,
             "tolerance": self.tolerance,
-            "matrices": [matrix_to_json(m) for m in self.monodromy.A],
+            "matrices": [matrix_to_json(m) for m in self.monodromy],
         }
 
 
-def traces(monodromy: MonodromyTuple) -> tuple[tuple[complex, ...], tuple[complex, ...], float]:
-    """The seven trace coordinates of a monodromy tuple and the cubic residual."""
-    A1, A2, A3, A4 = monodromy.A
+def traces(monodromy: Sequence[np.ndarray]) -> tuple[tuple[complex, ...], tuple[complex, ...], float]:
+    """The seven trace coordinates of ``(A1, A2, A3, A4)`` and the cubic residual."""
+    A1, A2, A3, A4 = monodromy
     a = tuple(complex(np.trace(m)) for m in (A1, A2, A3, A4))
     v = (
         complex(np.trace(A1 @ A2)),
@@ -376,7 +362,8 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
     class, and projected to det 1 again.  ``A4`` is the projected
     ``adj(A3) adj(A2) adj(A1)``, not a transport around infinity.  A cap
     hit or a determinant lost in rounding (see ``_unimodular``) raises
-    :class:`HolonomyError`; a ``t`` too far out for float arithmetic (its
+    :class:`HolonomyError`, whose message names ``t`` and ``tol`` when the
+    transport of a loop hit it; a ``t`` too far out for float arithmetic (its
     geometry overflows, or a path point rounds onto a puncture) raises
     ``ValueError``.
     """
@@ -414,6 +401,8 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
             rho[i] = _unimodular(_adj(np.reshape(around, (2, 2))) @ np.reshape(inward, (2, 2)))
     except ZeroDivisionError:  # |t| dwarfs the loop radius: a path point rounds onto a puncture
         raise ValueError(too_far) from None
+    except HolonomyError as err:  # a cap or lost precision: name the inputs that hit it
+        raise HolonomyError(f"{err} at t={config.t}, tol={tol}") from None
 
     # geometric tuple in angular order; bubble-sort to puncture order with
     # conjugation moves (g, h) -> (g h g^-1, g), which preserve the product
@@ -430,7 +419,7 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
     # size of its terms, so the final matrices are projected once more
     A1, A2, A3 = (_unimodular(m) for m in mats)
     A4 = _unimodular(_adj(A3) @ _adj(A2) @ _adj(A1))
-    monodromy = MonodromyTuple((A1, A2, A3, A4))
+    monodromy = (A1, A2, A3, A4)
     a, v, fricke_residual = traces(monodromy)
     return HolonomyResult(
         monodromy=monodromy,
@@ -438,8 +427,8 @@ def holonomy(residues: ResidueTuple, config: PunctureConfig,
         a=a,
         v=v,
         fricke_residual=fricke_residual,
-        det_residuals=monodromy.det_residuals(),
-        product_residual=monodromy.product_residual(),
+        det_residuals=tuple(abs(complex(np.linalg.det(m)) - 1) for m in monodromy),
+        product_residual=float(np.max(np.abs(A1 @ A2 @ A3 @ A4 - np.eye(2)))),
         integration_error=transporter.error_estimate,
         tolerance=tol,
         steps=transporter.steps,

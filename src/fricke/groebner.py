@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 from .exactalg import MAX_EXPONENT, Polynomial
 
-DEFAULT_MAX_PAIRS = 100_000
-DEFAULT_MAX_DEGREE = 30
+MAX_PAIRS = 100_000
+MAX_DEGREE = 30
 
 _IntPoly = dict[int, int]  # packed monomial -> integer coefficient
 _Entry = tuple[int, int, _IntPoly]  # leading monomial, coefficient, polynomial
@@ -365,21 +365,16 @@ def _update_pairs(lms: Sequence[int], live: dict[_Pair, int], k: int,
     return pairs, partners
 
 
-def buchberger(
-    ideal: Ideal,
-    order: MonomialOrder | None = None,
-    *,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Gröbner basis of ``ideal`` under ``order`` (default grevlex).
 
     Pair selection is the normal strategy (minimal lcm degree, ties broken by
     the order): each pair is queued once on a heap under that key.
     Useless pairs are dropped by the Gebauer–Möller update (``_update_pairs``).
-    ``max_pairs`` bounds the pairs formed, n(n-1)/2 for n elements, before
-    any is dropped; ``max_degree`` bounds the inputs, every new element and
-    the lcm of every pair reduced.  Deterministic for fixed input and order.
+    ``MAX_PAIRS`` bounds the pairs formed, n(n-1)/2 for n elements, before
+    any is dropped; ``MAX_DEGREE`` bounds the inputs, every new element and
+    the lcm of every pair reduced; both are read at call time.
+    Deterministic for fixed input and order.
     """
     if order is None:
         order = ideal.default_order()
@@ -392,8 +387,8 @@ def buchberger(
     def add(entry: _Entry) -> None:
         nonlocal live
         k = len(basis)
-        if k * (k + 1) // 2 > max_pairs:
-            raise ResourceCapError(f"S-pair budget of {max_pairs} exceeded")
+        if k * (k + 1) // 2 > MAX_PAIRS:
+            raise ResourceCapError(f"S-pair budget of {MAX_PAIRS} exceeded")
         basis.append(entry)
         live, partners = _update_pairs([e[0] for e in basis], live, k, layout)
         for i in partners:
@@ -401,23 +396,23 @@ def buchberger(
             heapq.heappush(heap, (sum(layout.decode(lcm_ik)), lcm_ik ^ layout.flip, (i, k)))
 
     for g in ideal.generators:
-        if g.degree() > max_degree:
-            raise ResourceCapError(f"generator degree {g.degree()} exceeds the cap of {max_degree}")
+        if g.degree() > MAX_DEGREE:
+            raise ResourceCapError(f"generator degree {g.degree()} exceeds the cap of {MAX_DEGREE}")
         add(_entry(layout.pack(g), layout.flip))
     while heap:
         degree, _, (i, j) = heapq.heappop(heap)
         if (i, j) not in live:  # dropped by criterion B since it was queued
             continue
         del live[i, j]
-        if degree > max_degree:
-            raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
+        if degree > MAX_DEGREE:
+            raise ResourceCapError(f"intermediate degree cap of {MAX_DEGREE} exceeded")
 
         remainder, _ = _normal_form(_s_poly(basis[i], basis[j], layout), basis, layout)
         if not remainder:
             continue
         entry = _entry(remainder, layout.flip)
-        if sum(layout.decode(entry[0])) > max_degree:
-            raise ResourceCapError(f"intermediate degree cap of {max_degree} exceeded")
+        if sum(layout.decode(entry[0])) > MAX_DEGREE:
+            raise ResourceCapError(f"intermediate degree cap of {MAX_DEGREE} exceeded")
         add(entry)
 
     return GroebnerBasis(tuple(map(layout.unpack, _inter_reduce(basis, layout))), order)
@@ -628,9 +623,9 @@ def rational_roots(poly: Polynomial, name: str) -> tuple[list[Fraction], Polynom
 
 @dataclass(frozen=True)
 class ZeroDimensionalSolution:
-    """Rational points of a zero-dimensional ideal plus unsolved residuals."""
+    """Rational points, sorted tuples in ``ideal.variables`` order, plus unsolved residuals."""
 
-    points: tuple[dict, ...]
+    points: tuple[tuple[Fraction, ...], ...]
     residuals: tuple[Polynomial, ...] = field(default_factory=tuple)
 
     @property
@@ -658,7 +653,7 @@ def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
 
     residuals: list[Polynomial] = []
 
-    def solve_rec(gb: GroebnerBasis) -> list[dict]:
+    def solve_rec(gb: GroebnerBasis) -> list[tuple[Fraction, ...]]:
         names = gb.order.variables
         last = names[-1]
         (eliminant,) = eliminate(gb.as_ideal(), names[:-1]).generators
@@ -666,14 +661,12 @@ def solve_zero_dimensional(ideal: Ideal) -> ZeroDimensionalSolution:
         if residual is not None:
             residuals.append(residual)
         if len(names) == 1:
-            return [{last: root} for root in roots]
+            return [(root,) for root in roots]
         points = []
         for root in roots:
             substituted = tuple(p.substitute({last: Polynomial.constant(root)}) for p in gb.polynomials)
             sub_gb = buchberger(Ideal(substituted, names[:-1]))
-            points += [partial | {last: root} for partial in solve_rec(sub_gb)]
+            points += [partial + (root,) for partial in solve_rec(sub_gb)]
         return points
 
-    points = solve_rec(gb)
-    ordered = tuple(sorted(points, key=lambda pt: tuple(pt[v] for v in ideal.variables)))
-    return ZeroDimensionalSolution(points=ordered, residuals=tuple(residuals))
+    return ZeroDimensionalSolution(points=tuple(sorted(solve_rec(gb))), residuals=tuple(residuals))

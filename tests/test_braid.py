@@ -227,7 +227,7 @@ class TestOrbits:
         for v in orbit.points:
             for index in (1, 2, 3):
                 for sign in (1, -1):
-                    assert braid.apply_letter(TETRA.a, v, index, sign) in members
+                    assert braid._act(TETRA.a, v, ((index, sign),)) in members
 
     def test_orbit_points_on_variety(self):
         rng = random.Random(15)
@@ -314,6 +314,20 @@ class TestIntegerPath:
             assert all(type(x) is int for v in orbit.points for x in v)
             word = BraidWord(tuple((rng.randint(1, 3), rng.choice((1, -1))) for _ in range(6)))
             assert all(type(x) is int for x in braid.apply_word(word, point).v)
+            checked += 1
+        # frontiers 1, 6, 24, 96 total 7, 31 and 127: at a cap of a total the
+        # last frontier exactly fills it, and at one more it overflows by one
+        levels = {7: 3, 8: 3, 31: 4, 32: 4, 127: 5, 128: 5}
+        checked = 0
+        while checked < 2:
+            point = random_trace_point(rng)
+            if oracle_orbit(point, cap=127)[2][:4] != (1, 6, 24, 96):
+                continue
+            for cap, depth in levels.items():
+                orbit = braid.enumerate_orbit(point, cap)
+                assert (orbit.points, orbit.status, orbit.frontier_sizes) == oracle_orbit(point, cap)
+                assert orbit.size == cap and orbit.status == braid.ORBIT_CAP_EXCEEDED
+                assert len(orbit.frontier_sizes) == depth
             checked += 1
 
     def test_finite_su2_orbit_at_rational_boundary(self):

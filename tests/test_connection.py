@@ -209,12 +209,12 @@ class TestHolonomy:
         result = conn.holonomy(residues, conn.PunctureConfig(t), tol=1e-10)
         assert abs(result.a[0] - 2 * math.cos(math.pi * theta)) < 1e-8
         closed_form = matrix_exp_traceless(2j * math.pi * residues.X[0])
-        assert np.max(np.abs(result.monodromy.A[0] - closed_form)) < 1e-8
+        assert np.max(np.abs(result.monodromy[0] - closed_form)) < 1e-8
 
     def test_zero_residues_give_identity(self):
         residues = conn.ResidueTuple((ZERO, ZERO, ZERO, ZERO))
         result = conn.holonomy(residues, conn.PunctureConfig(F(1, 3)), tol=1e-10)
-        for m in result.monodromy.A:
+        for m in result.monodromy:
             assert np.max(np.abs(m - np.eye(2))) < 1e-12
 
     def test_random_residues_certify(self):
@@ -321,6 +321,20 @@ class TestHolonomy:
         with pytest.raises(conn.HolonomyError, match="terms"):
             conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(0.5), tol=1e-200)
 
+    @pytest.mark.parametrize("t, tol, message", [
+        pytest.param(9.950041652780258e16 + 9.983341664682816e15j, pvi.DEFAULT_HOLONOMY_TOL,
+                     "Taylor series not converged within 400 terms"
+                     " at t=(9.950041652780258e+16+9983341664682816j), tol=1e-10", id="far-t"),
+        pytest.param(F(1, 3), 1e-300, "Taylor series not converged within 400 terms"
+                     " at t=(0.3333333333333333+0j), tol=1e-300", id="tiny-tol"),
+    ])
+    def test_failed_transport_names_t_and_tol(self, t, tol, message):
+        # |t| = 1e17 at angle 0.1, and a tolerance below float resolution:
+        # the same series cap, told apart only by the inputs
+        with pytest.raises(conn.HolonomyError) as err:
+            conn.holonomy(commuting_residue_tuple(), conn.PunctureConfig(t), tol=tol)
+        assert str(err.value) == message
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(conn, "MAX_INTEGRATION_STEPS", 10)
         with pytest.raises(conn.HolonomyError, match="10 steps"):
@@ -372,7 +386,7 @@ class TestStepKernel:
 class TestTraces:
     def test_identity_tuple(self):
         eye = np.eye(2, dtype=complex)
-        a, v, residual = conn.traces(conn.MonodromyTuple((eye, eye, eye, eye)))
+        a, v, residual = conn.traces((eye, eye, eye, eye))
         assert a == (2, 2, 2, 2) and v == (2, 2, 2) and residual == 0
 
     def test_quaternion_pair(self):
@@ -383,7 +397,7 @@ class TestTraces:
         a2 = np.array([[0, 1j], [1j, 0]], dtype=complex)
         a3 = np.linalg.inv(a1 @ a2)
         a4 = np.eye(2, dtype=complex)
-        a, v, residual = conn.traces(conn.MonodromyTuple((a1, a2, a3, a4)))
+        a, v, residual = conn.traces((a1, a2, a3, a4))
         assert a == (0, 0, 0, 2)
         assert v == (0, 0, 0)
         assert residual == 0
